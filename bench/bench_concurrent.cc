@@ -6,6 +6,8 @@
 //
 // Usage: bench_concurrent [--short] [--connect host:port] [client_threads]
 //        [queries]
+// Any other flag, a flag without its value, or a thread or query count
+// that is not a positive integer prints the usage and exits 2.
 // This is the binary the TSan acceptance gate runs (scripts/check.sh);
 // `--short` is the reduced trace the metrics-overhead gate times (it
 // compares TOTAL_WALL_MS between AUTOINDEX_METRICS=ON and OFF builds).
@@ -14,6 +16,8 @@
 // with open-loop pacing so the service vs response latency split shows
 // real queueing delay; the net e2e stage in check.sh runs this mode.
 
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -164,6 +168,27 @@ void RunBanking(int threads, size_t num_queries) {
 }  // namespace
 }  // namespace autoindex
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_concurrent [--short] [--connect host:port] "
+    "[client_threads] [queries]\n"
+    "  client_threads and queries are positive integers\n";
+
+int UsageError(const char* why, const char* arg) {
+  std::fprintf(stderr, "bench_concurrent: %s '%s'\n%s", why, arg, kUsage);
+  return 2;
+}
+
+// A whole-string positive decimal integer, or 0 when `arg` is not one.
+long long PositiveArg(const char* arg) {
+  char* end = nullptr;
+  const long long v = std::strtoll(arg, &end, 10);
+  return (end != arg && *end == '\0' && v > 0) ? v : 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   int threads = 4;
   size_t queries = 1200;
@@ -175,13 +200,25 @@ int main(int argc, char** argv) {
       // exercise every instrumented path, short enough to run min-of-N.
       threads = 2;
       queries = 300;
-    } else if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--connect") == 0) {
+      if (i + 1 >= argc) return UsageError("missing value for", argv[i]);
       connect = argv[++i];
-    } else if (positional == 0) {
-      threads = std::atoi(argv[i]);
-      ++positional;
+    } else if (argv[i][0] == '-') {
+      return UsageError("unknown flag", argv[i]);
+    } else if (positional >= 2) {
+      return UsageError("unexpected argument", argv[i]);
     } else {
-      queries = static_cast<size_t>(std::atoll(argv[i]));
+      const long long v = PositiveArg(argv[i]);
+      if (v == 0 || v > INT_MAX) {
+        return UsageError(positional == 0 ? "bad client thread count"
+                                          : "bad query count",
+                          argv[i]);
+      }
+      if (positional == 0) {
+        threads = static_cast<int>(v);
+      } else {
+        queries = static_cast<size_t>(v);
+      }
       ++positional;
     }
   }

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: B+Tree operations, SQL parsing, fingerprinting, DNF
-// rewriting, what-if estimation, and MCTS iteration throughput.
+// rewriting, what-if estimation, MCTS iteration throughput, and one short
+// statement end to end.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,7 @@
 #include "core/mcts.h"
 #include "core/query_template.h"
 #include "engine/database.h"
+#include "engine/session.h"
 #include "index/btree.h"
 #include "sql/dnf.h"
 #include "sql/fingerprint.h"
@@ -169,6 +171,35 @@ void BM_MctsIteration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * iterations);
 }
 BENCHMARK(BM_MctsIteration)->Arg(50)->Arg(200);
+
+// The per-statement instrumentation probe: a pre-parsed indexed point
+// SELECT through Session::Execute (latch, plan, one IndexScan, and every
+// span and counter a short statement records). Against the same
+// benchmark in an AUTOINDEX_METRICS=OFF build it gives the metrics and
+// tracing cost per statement; scripts/check.sh prints that ratio.
+void BM_ExecutePointSelect(benchmark::State& state) {
+  static Database* db = [] {
+    auto* d = new Database();
+    d->CreateTable("t", Schema({{"a", ValueType::kInt},
+                                {"b", ValueType::kInt}}));
+    std::vector<Row> rows;
+    for (int i = 0; i < 20000; ++i) {
+      rows.push_back({Value(int64_t(i)), Value(int64_t(i % 100))});
+    }
+    d->BulkInsert("t", std::move(rows)).ok();
+    d->Analyze();
+    d->CreateIndex(IndexDef("t", {"a"})).ok();
+    return d;
+  }();
+  Session session(db);
+  const StatusOr<Statement> stmt = ParseSql("SELECT b FROM t WHERE a = 4321");
+  for (auto _ : state) {
+    StatusOr<ExecResult> r = session.Execute(*stmt);
+    benchmark::DoNotOptimize(r.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecutePointSelect);
 
 }  // namespace
 }  // namespace autoindex

@@ -2,9 +2,11 @@
 high_resolution_clock ::now() calls outside the sanctioned timing
 modules. Ad-hoc clock math scattered through subsystems is how latency
 accounting drifts (mixed clocks, ms-vs-us confusion, unrecorded timings
-the metrics layer never sees). Subsystem code times itself through
-util::Stopwatch / util::ScopedTimer (src/util/metrics.h), which also
-compile out cleanly under AUTOINDEX_METRICS=OFF."""
+the metrics layer never sees). Subsystem code times an interval through
+the obs::ScopedSpan / obs::ScopedTrace that covers it (src/obs/trace.h;
+handed a histogram, the span records into it and compiles out under
+AUTOINDEX_METRICS=OFF), or through util::Stopwatch
+(src/util/metrics.h) for an interval that has no span."""
 
 import re
 
@@ -37,5 +39,6 @@ class RawChronoMetric(framework.Rule):
             if _CLOCK_NOW_RE.search(code):
                 yield self.finding(
                     sf, lineno,
-                    "raw chrono clock read; time through util::Stopwatch / "
-                    "util::ScopedTimer (src/util/metrics.h)")
+                    "raw chrono clock read; time through obs::ScopedSpan "
+                    "with a histogram (src/obs/trace.h), or util::Stopwatch "
+                    "(src/util/metrics.h) where no span covers the interval")

@@ -125,16 +125,18 @@ net_e2e build-werror
 
 step "metrics overhead gate (ON vs AUTOINDEX_METRICS=OFF, bench_concurrent --short)"
 # The observability layer's contract (DESIGN.md §11) is < 5% overhead on
-# the concurrent bench. Build a metrics-free baseline of just the bench
-# binary, run both min-of-3 (min is the right statistic for noise: the
+# the concurrent bench. Build a metrics-free baseline of the bench
+# binaries, run both min-of-3 (min is the right statistic for noise: the
 # fastest run is the least-perturbed one), and compare TOTAL_WALL_MS.
 # AUTOINDEX_METRICS=OFF also compiles out request-scoped tracing
 # (DESIGN.md §13) — every ScopedTrace/ScopedSpan in the hot path becomes
-# a no-op — so this same budget gates the combined metrics + tracing
-# cost, including the per-statement span recording the bench drives
-# through the server's net.request traces.
+# a no-op, and with it the histogram sample each span records — so this
+# same budget gates the combined metrics + tracing cost, including the
+# per-statement span recording the bench drives through the server's
+# net.request traces.
 cmake -B build-nometrics -S . -DAUTOINDEX_METRICS=OFF >/dev/null
-cmake --build build-nometrics -j "${JOBS}" --target bench_concurrent
+cmake --build build-nometrics -j "${JOBS}" --target bench_concurrent \
+  micro_benchmarks
 bench_min_ms() {
   local binary="$1" best="" ms
   for _ in 1 2 3; do
@@ -161,6 +163,32 @@ if on > budget:
              f"(baseline {off:.1f} ms + 5% + 20 ms grace)")
 print(f"OK: overhead {on - off:+.1f} ms ({(on / off - 1) * 100:+.1f}%) "
       f"within budget")
+EOF
+# Per-statement cost, printed next to the gate and not gated: the wall
+# time above is mostly long statements and tuning, which hides what a
+# short statement pays. BM_ExecutePointSelect is one pre-parsed indexed
+# point SELECT through Session::Execute. The two builds run interleaved,
+# pinned to one CPU when taskset exists; the ratio compares the minimum
+# of 10 runs of each.
+python3 - build-werror/bench/micro_benchmarks \
+  build-nometrics/bench/micro_benchmarks <<'EOF'
+import json, shutil, subprocess, sys
+pin = ["taskset", "-c", "0"] if shutil.which("taskset") else []
+def ns_per_statement(binary):
+    out = subprocess.run(
+        pin + [binary, "--benchmark_filter=^BM_ExecutePointSelect$",
+               "--benchmark_min_time=0.2", "--benchmark_format=json"],
+        check=True, capture_output=True, text=True).stdout
+    bench = json.loads(out)["benchmarks"][0]
+    assert bench["time_unit"] == "ns", bench["time_unit"]
+    return bench["real_time"]
+on_runs, off_runs = [], []
+for _ in range(10):
+    on_runs.append(ns_per_statement(sys.argv[1]))
+    off_runs.append(ns_per_statement(sys.argv[2]))
+on, off = min(on_runs), min(off_runs)
+print(f"BM_ExecutePointSelect: ON {on:.0f} ns, OFF {off:.0f} ns per "
+      f"statement (min of 10 interleaved): ON/OFF {on / off:.2f}")
 EOF
 
 if [[ "${FAST}" == "1" ]]; then

@@ -193,9 +193,10 @@ DiagnosisReport AutoIndexManager::Diagnose() {
 TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   const TuningMetrics& metrics = TuningMetrics::Get();
   // Tuning rounds get their own traces: candidate generation, MCTS
-  // search, and apply each appear as a span.
-  obs::ScopedTrace trace("tuning.round");
-  const util::Stopwatch round_watch;
+  // search, and apply each appear as a span. Their durations are also
+  // reported in the TuningResult, so they are timed in every build.
+  obs::ScopedTrace trace("tuning.round", nullptr, metrics.round_us,
+                         obs::Clock::kAlways);
   TuningResult result;
 
   // Drift handling (Sec. IV-C): decay template frequencies when the match
@@ -222,22 +223,17 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   const WorkloadModel workload = WorkloadModel::FromTemplates(templates);
   const IndexConfig existing = db_->CurrentConfig();
 
-  util::Stopwatch phase_watch;
-  const std::vector<IndexDef> candidates = [&] {
-    obs::ScopedSpan gen_span("tuning.candidate_gen");
-    return generator_->Generate(templates, existing);
-  }();
-  result.candidate_gen_ms = phase_watch.ElapsedMs();
-  metrics.candidate_gen_us->Record(phase_watch.ElapsedUs());
+  obs::ScopedSpan gen_span("tuning.candidate_gen", metrics.candidate_gen_us,
+                           obs::Clock::kAlways);
+  const std::vector<IndexDef> candidates =
+      generator_->Generate(templates, existing);
+  result.candidate_gen_ms = gen_span.End() / 1000.0;
   result.candidates_generated = candidates.size();
 
-  phase_watch.Restart();
-  MctsResult mcts = [&] {
-    obs::ScopedSpan search_span("tuning.search");
-    return selector_->Run(existing, candidates, workload);
-  }();
-  result.search_ms = phase_watch.ElapsedMs();
-  metrics.search_us->Record(phase_watch.ElapsedUs());
+  obs::ScopedSpan search_span("tuning.search", metrics.search_us,
+                              obs::Clock::kAlways);
+  MctsResult mcts = selector_->Run(existing, candidates, workload);
+  result.search_ms = search_span.End() / 1000.0;
   result.est_base_cost = mcts.base_cost;
   result.est_new_cost = mcts.best_cost;
   result.est_benefit = mcts.best_benefit;
@@ -292,8 +288,7 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
 
   ++rounds_run_;
   metrics.rounds->Add();
-  metrics.round_us->Record(round_watch.ElapsedUs());
-  result.elapsed_ms = round_watch.ElapsedMs();
+  result.elapsed_ms = trace.End() / 1000.0;
   return result;
 }
 

@@ -154,9 +154,7 @@ Status Database::CreateIndex(const IndexDef& def) {
   // Build trace: one root with a span per phase (register → scan →
   // catch-up → publish), so a writer stall can be attributed to the
   // publish window rather than the whole build.
-  obs::ScopedTrace trace("index.build");
-  util::ScopedTimer total_timer(metrics.build_total_us);
-  util::Stopwatch phase_watch{util::Stopwatch::DeferStart{}};
+  obs::ScopedTrace trace("index.build", nullptr, metrics.build_total_us);
   {
     // Phase 0 — registration, brief exclusive window: the slot horizon
     // and the delta routing switch on atomically. Every writer that runs
@@ -165,7 +163,6 @@ Status Database::CreateIndex(const IndexDef& def) {
     LatchManager::Guard guard = latches_.AcquireExclusive(def.table);
     StatusOr<BuiltIndex*> begun = index_manager_->BeginBuild(def);
     if (!begun.ok()) {
-      total_timer.Cancel();
       trace.Cancel();
       return begun.status();
     }
@@ -174,14 +171,13 @@ Status Database::CreateIndex(const IndexDef& def) {
     snapshot_slots = table->num_slots();
   }
   FireIndexBuildHook(IndexBuildPhase::kRegistered);
-  phase_watch.Restart();
   // Phase 1 — snapshot scan in chunks under *shared* latches, so writers
   // interleave between chunks. Only slots below the registration horizon
   // are scanned: RowIds are never reused, so every later insert has a
   // higher slot and reached the delta instead. Slots mutated mid-scan are
   // reconciled by the idempotent (delete-then-insert) delta apply.
   {
-    obs::ScopedSpan phase_span("build.scan");
+    obs::ScopedSpan phase_span("build.scan", metrics.build_scan_us);
     phase_span.SetAttr("snapshot_slots",
                        static_cast<int64_t>(snapshot_slots));
     for (size_t lo = 0; lo < snapshot_slots; lo += kBuildScanChunkSlots) {
@@ -192,9 +188,7 @@ Status Database::CreateIndex(const IndexDef& def) {
       }
     }
   }
-  metrics.build_scan_us->Record(phase_watch.ElapsedUs());
   FireIndexBuildHook(IndexBuildPhase::kScanned);
-  phase_watch.Restart();
   // Phase 2 — delta catch-up. Free-running rounds first (no latch: the
   // buffered ops carry their row images, writers keep appending under the
   // build's own delta mutex, and the trees are builder-private until
@@ -202,7 +196,7 @@ Status Database::CreateIndex(const IndexDef& def) {
   // least as fast as the drain — fall through to paced rounds below
   // rather than letting the backlog grow unboundedly.
   {
-    obs::ScopedSpan phase_span("build.catchup");
+    obs::ScopedSpan phase_span("build.catchup", metrics.build_catchup_us);
     int64_t drain_rounds = 0;
     for (size_t round = 0; round < kBuildFreeCatchupRounds; ++round) {
       const size_t before = build->delta_pending();
@@ -225,16 +219,14 @@ Status Database::CreateIndex(const IndexDef& def) {
     }
     phase_span.SetAttr("drain_rounds", drain_rounds);
   }
-  metrics.build_catchup_us->Record(phase_watch.ElapsedUs());
   FireIndexBuildHook(IndexBuildPhase::kCaughtUp);
-  phase_watch.Restart();
   // Phase 3 — publish, brief exclusive window: drain the final delta,
   // append the WAL create record (only now — a crash mid-build must
   // recover to "index absent"), and flip the index to kReady. Any failure
   // aborts the build so no half-built state leaks.
   Status s;
   {
-    obs::ScopedSpan phase_span("build.publish");
+    obs::ScopedSpan phase_span("build.publish", metrics.build_publish_us);
     LatchManager::Guard guard = latches_.AcquireExclusive(def.table);
     s = index_manager_->FinishBuildDrain(key);
     if (s.ok()) {
@@ -247,12 +239,12 @@ Status Database::CreateIndex(const IndexDef& def) {
     } else {
       (void)index_manager_->AbortBuild(key);
     }
+    if (!s.ok()) phase_span.SkipSample();
   }
   if (!s.ok()) {
-    total_timer.Cancel();  // aborted builds stay out of the phase series
+    trace.SkipSample();  // aborted builds stay out of the phase series
     return s;
   }
-  metrics.build_publish_us->Record(phase_watch.ElapsedUs());
   metrics.index_builds->Add();
   FireIndexBuildHook(IndexBuildPhase::kPublished);
   return RunInvariantHook();
@@ -295,10 +287,9 @@ StatusOr<ExecResult> Database::Execute(const std::string& sql) {
   // (a no-op under a Session or network-request trace, which opened one
   // already and traced its own parse).
   obs::ScopedTrace trace("statement");
-  StatusOr<Statement> stmt = [&] {
-    obs::ScopedSpan parse_span("parse");
-    return ParseSql(sql);
-  }();
+  obs::ScopedSpan parse_span("parse");
+  StatusOr<Statement> stmt = ParseSql(sql);
+  parse_span.End();
   if (!stmt.ok()) {
     trace.Cancel();
     return stmt.status();
@@ -316,17 +307,15 @@ StatusOr<ExecResult> Database::ExecuteOn(Executor* executor,
   metrics.statements->Add();
   // Statement trace root for direct ExecuteOn callers; a no-op nested
   // under a Session or network-request trace.
-  obs::ScopedTrace trace("statement");
-  // End-to-end statement latency: latch wait + execution + WAL append.
-  util::ScopedTimer statement_timer(metrics.statement_us);
-  LatchManager::Guard guard = [&] {
-    obs::ScopedSpan latch_span("latch.acquire");
-    return latches_.Acquire(StatementLatches(stmt));
-  }();
-  StatusOr<ExecResult> result = [&] {
-    obs::ScopedSpan exec_span("engine.execute");
-    return executor->Execute(stmt);
-  }();
+  // End-to-end statement latency (latch wait + execution + WAL append)
+  // is this scope's duration, traced or not.
+  obs::ScopedTrace trace("statement", nullptr, metrics.statement_us);
+  obs::ScopedSpan latch_span("latch.acquire");
+  LatchManager::Guard guard = latches_.Acquire(StatementLatches(stmt));
+  latch_span.End();
+  obs::ScopedSpan exec_span("engine.execute");
+  StatusOr<ExecResult> result = executor->Execute(stmt);
+  exec_span.End();
   if (result.ok() && stmt.IsWrite()) {
     // Logged while the exclusive table latch is still held, so WAL order
     // equals execution order for every table.

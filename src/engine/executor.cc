@@ -5,14 +5,13 @@
 
 #include "obs/trace.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
 
 namespace autoindex {
 namespace {
 
-// Executor observability (DESIGN.md §11): statement totals plus a
-// per-operator-type breakdown walked off the plan snapshot each
-// statement leaves behind.
+// Executor observability (DESIGN.md §11): statement totals. The
+// per-operator-kind breakdown is recorded as each operator closes
+// (PhysicalOperator::Close).
 struct ExecutorMetrics {
   util::Counter* statements;
   util::Counter* rows_returned;
@@ -36,24 +35,21 @@ struct ExecutorMetrics {
   }
 };
 
-uint64_t NonNegative(int64_t v) {
-  return v > 0 ? static_cast<uint64_t>(v) : 0;
-}
-
-// Per-operator-type series: executor.op.<name>.{invocations,rows_out,
-// pages_read}. Operator names are a small closed set, so the registry
-// lookups hit existing entries after the first statement of each shape.
-void RecordOperatorMetrics(const PlanNodeSnapshot& node) {
-  auto& registry = util::MetricsRegistry::Default();
-  const std::string base = StrCat("executor.op.", ToLower(node.op), ".");
-  registry.GetCounter(base + "invocations")->Add();
-  registry.GetCounter(base + "rows_out")->Add(NonNegative(node.actual.rows_out));
-  registry.GetCounter(base + "pages_read")
-      ->Add(NonNegative(node.actual.heap_pages_read) +
-            NonNegative(node.actual.index_pages_read));
-  for (const PlanNodeSnapshot& child : node.children) {
-    RecordOperatorMetrics(child);
-  }
+// Pulls a lowered pipeline to completion, handing each tuple to `emit`,
+// and leaves the plan's access paths, snapshot, summed operator counters
+// and access-path feedback in *result.
+template <typename Emit>
+void RunPipeline(const PhysicalPlan& pplan, const CostParams& params,
+                 ExecResult* result, Emit emit) {
+  result->indexes_used = pplan.indexes_used;
+  result->stats.used_index = pplan.used_index;
+  pplan.root->Open();
+  ExecTuple tuple;
+  while (pplan.root->Next(&tuple)) emit(&tuple);
+  pplan.root->Close();
+  result->plan = pplan.root->Snapshot();
+  AccumulateOperatorCounters(*result->plan, &result->stats);
+  CollectAccessPathFeedback(*pplan.root, params, &result->feedback);
 }
 
 }  // namespace
@@ -100,7 +96,6 @@ void Executor::FinishStatement(const ExecResult& result) {
     metrics.index_pages_read->Add(result.stats.index_pages_read);
     metrics.tuples_examined->Add(result.stats.tuples_examined);
     metrics.index_tuples_read->Add(result.stats.index_tuples_read);
-    if (result.plan.has_value()) RecordOperatorMetrics(*result.plan);
   }
   if (feedback_hook_ && !result.feedback.empty()) {
     feedback_hook_(result.feedback);
@@ -114,30 +109,18 @@ StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
     std::vector<IndexStatsView> per = BuiltConfig(ref.table);
     config.insert(config.end(), per.begin(), per.end());
   }
-  std::unique_ptr<PhysicalPlan> pplan;
-  {
-    obs::ScopedSpan plan_span("plan");
-    StatusOr<SelectPlan> plan_or = planner_.PlanSelect(stmt, config);
-    if (!plan_or.ok()) return plan_or.status();
-    pplan = LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_,
-                        params_);
-  }
+  obs::ScopedSpan plan_span("plan");
+  StatusOr<SelectPlan> plan_or = planner_.PlanSelect(stmt, config);
+  if (!plan_or.ok()) return plan_or.status();
+  const std::unique_ptr<PhysicalPlan> pplan =
+      LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_, params_);
+  plan_span.End();
 
   ExecResult result;
-  result.indexes_used = pplan->indexes_used;
-  result.stats.used_index = pplan->used_index;
-
-  pplan->root->Open();
-  ExecTuple t;
-  while (pplan->root->Next(&t)) {
-    result.rows.push_back(std::move(t.slots[0]));
-  }
-  pplan->root->Close();
-
-  result.plan = pplan->root->Snapshot();
-  AccumulateOperatorCounters(*result.plan, &result.stats);
+  RunPipeline(*pplan, params_, &result, [&](ExecTuple* t) {
+    result.rows.push_back(std::move(t->slots[0]));
+  });
   result.stats.rows_returned = result.rows.size();
-  CollectAccessPathFeedback(*pplan->root, params_, &result.feedback);
   FinishStatement(result);
   return result;
 }
@@ -147,29 +130,16 @@ StatusOr<std::vector<RowId>> Executor::LookupRows(const std::string& table,
                                                   ExecResult* result) {
   HeapTable* t = catalog_->GetTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
-  std::unique_ptr<PhysicalPlan> pplan;
-  {
-    obs::ScopedSpan plan_span("plan");
-    StatusOr<TablePlan> tp_or =
-        planner_.PlanWriteLookup(table, where, BuiltConfig(table));
-    if (!tp_or.ok()) return tp_or.status();
-    pplan = LowerWriteLookup(std::move(*tp_or), where, catalog_, indexes_,
-                             params_);
-  }
-  result->indexes_used = pplan->indexes_used;
-  result->stats.used_index = pplan->used_index;
-
+  obs::ScopedSpan plan_span("plan");
+  StatusOr<TablePlan> tp_or =
+      planner_.PlanWriteLookup(table, where, BuiltConfig(table));
+  if (!tp_or.ok()) return tp_or.status();
+  const std::unique_ptr<PhysicalPlan> pplan = LowerWriteLookup(
+      std::move(*tp_or), where, catalog_, indexes_, params_);
+  plan_span.End();
   std::vector<RowId> out;
-  pplan->root->Open();
-  ExecTuple tup;
-  while (pplan->root->Next(&tup)) {
-    out.push_back(tup.rids[0]);
-  }
-  pplan->root->Close();
-
-  result->plan = pplan->root->Snapshot();
-  AccumulateOperatorCounters(*result->plan, &result->stats);
-  CollectAccessPathFeedback(*pplan->root, params_, &result->feedback);
+  RunPipeline(*pplan, params_, result,
+              [&](ExecTuple* tuple) { out.push_back(tuple->rids[0]); });
   return out;
 }
 
@@ -178,6 +148,32 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
   if (t == nullptr) return Status::NotFound("no such table: " + stmt.table);
   ExecResult result;
   const Schema& schema = t->schema();
+
+  // All-or-nothing: every row is shaped and checked before the first one
+  // reaches the heap, so a bad row cannot leave earlier rows live in
+  // memory while the failed statement writes no WAL record.
+  std::vector<size_t> ords;  // schema ordinal of each listed column
+  for (const std::string& col : stmt.columns) {
+    const int ord = schema.FindColumn(col);
+    if (ord < 0) {
+      return Status::NotFound("no column " + col + " in " + stmt.table);
+    }
+    ords.push_back(static_cast<size_t>(ord));
+  }
+  std::vector<Row> rows;
+  for (const Row& src : stmt.rows) {
+    if (ords.empty()) {
+      rows.push_back(src);
+    } else {
+      if (src.size() != ords.size()) {
+        return Status::InvalidArgument("VALUES arity mismatch");
+      }
+      Row& row = rows.emplace_back(schema.num_columns(), Value::Null());
+      for (size_t i = 0; i < ords.size(); ++i) row[ords[i]] = src[i];
+    }
+    Status s = t->CheckArity(rows.back());
+    if (!s.ok()) return s;
+  }
 
   // Pre-capture per-index stats for the maintenance formulas.
   struct IndexSnapshot {
@@ -192,25 +188,8 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
     snaps.push_back({bi, bi->num_splits()});
   }
 
-  size_t inserted = 0;
-  for (const Row& src : stmt.rows) {
-    Row row;
-    if (stmt.columns.empty()) {
-      row = src;
-    } else {
-      if (src.size() != stmt.columns.size()) {
-        return Status::InvalidArgument("VALUES arity mismatch");
-      }
-      row.assign(schema.num_columns(), Value::Null());
-      for (size_t i = 0; i < stmt.columns.size(); ++i) {
-        const int ord = schema.FindColumn(stmt.columns[i]);
-        if (ord < 0) {
-          return Status::NotFound("no column " + stmt.columns[i] + " in " +
-                                  stmt.table);
-        }
-        row[static_cast<size_t>(ord)] = src[i];
-      }
-    }
+  const size_t inserted = rows.size();
+  for (Row& row : rows) {
     StatusOr<RowId> rid = t->Insert(std::move(row));
     if (!rid.ok()) return rid.status();
     // Index maintenance: inserts update indexes immediately (Sec. V).
@@ -221,7 +200,6 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
       result.stats.maint_cpu_cost += IndexUpdateCpuCost(
           snap.index->num_entries(), snap.index->height(), 1, params_);
     }
-    ++inserted;
   }
   // Heap pages dirtied (append-only): number of pages the new rows span.
   result.stats.pages_written +=
@@ -233,10 +211,10 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
     result.stats.index_pages_written += inserted + splits;
   }
   result.stats.rows_returned = inserted;
-  // No read pipeline ran; clear the retained snapshot so the validator
-  // does not check a stale plan against this statement's stats.
-  last_plan_.reset();
-  last_plan_stats_ = result.stats;
+  // No read pipeline ran: result.plan is empty, so FinishStatement also
+  // clears the retained snapshot and the validator does not check a
+  // stale plan against this statement's stats.
+  FinishStatement(result);
   return result;
 }
 

@@ -64,7 +64,7 @@ class IndexNestedLoopJoinOp : public JoinOpBase {
     inner_->Close();
   }
 
-  const char* name() const override { return "IndexNestedLoopJoin"; }
+  OperatorKind kind() const override { return OperatorKind::kIndexNestedLoopJoin; }
   const PhysicalOperator* child(size_t i) const override {
     return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
   }
@@ -92,7 +92,7 @@ class HashJoinOp : public JoinOpBase {
     build_->Close();
   }
 
-  const char* name() const override { return "HashJoin"; }
+  OperatorKind kind() const override { return OperatorKind::kHashJoin; }
   std::string detail() const override;
   const PhysicalOperator* child(size_t i) const override {
     return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(build_.get());
@@ -129,7 +129,7 @@ class NestedLoopJoinOp : public JoinOpBase {
     inner_->Close();
   }
 
-  const char* name() const override { return "NestedLoopJoin"; }
+  OperatorKind kind() const override { return OperatorKind::kNestedLoopJoin; }
   std::string detail() const override {
     return JoinOpBase::detail() + " (cartesian)";
   }

@@ -1,6 +1,59 @@
 #include "engine/operators/operator.h"
 
+#include <array>
+
+#include "util/metrics.h"
+#include "util/string_util.h"
+
 namespace autoindex {
+namespace {
+
+// In OperatorKind order.
+constexpr const char* kKindNames[] = {
+    "SeqScan", "IndexScan", "IndexNestedLoopJoin", "HashJoin",
+    "NestedLoopJoin", "Filter", "Project", "Sort", "Limit", "HashAggregate"};
+
+// executor.op.<kind>.* series, resolved once per process for every kind,
+// so closing an operator costs three relaxed atomic adds.
+struct KindCounters {
+  util::Counter* invocations;
+  util::Counter* rows_out;
+  util::Counter* pages_read;
+};
+
+const KindCounters& CountersOf(OperatorKind kind) {
+  static const auto counters = [] {
+    auto& registry = util::MetricsRegistry::Default();
+    std::array<KindCounters, std::size(kKindNames)> out;
+    for (size_t k = 0; k < out.size(); ++k) {
+      const std::string base =
+          StrCat("executor.op.", ToLower(kKindNames[k]), ".");
+      out[k] = {registry.GetCounter(base + "invocations"),
+                registry.GetCounter(base + "rows_out"),
+                registry.GetCounter(base + "pages_read")};
+    }
+    return out;
+  }();
+  return counters[static_cast<size_t>(kind)];
+}
+
+}  // namespace
+
+const char* PhysicalOperator::name() const {
+  return kKindNames[static_cast<size_t>(kind())];
+}
+
+void PhysicalOperator::Close() {
+  DoClose();
+  span_.End("rows_out", stats_.rows_out);
+  if constexpr (util::kMetricsEnabled) {
+    const KindCounters& counters = CountersOf(kind());
+    counters.invocations->Add();
+    counters.rows_out->Add(static_cast<uint64_t>(stats_.rows_out));
+    counters.pages_read->Add(static_cast<uint64_t>(stats_.heap_pages_read +
+                                                   stats_.index_pages_read));
+  }
+}
 
 bool PrefixResolver::Resolve(const ColumnRef& col, Value* out) const {
   for (size_t i = level_ + 1; i > 0; --i) {

@@ -14,6 +14,13 @@
 
 namespace autoindex {
 
+// The closed set of physical operators. The kind names the operator in
+// plans and spans, and keys its executor.op.<kind>.* counters.
+enum class OperatorKind {
+  kSeqScan, kIndexScan, kIndexNestedLoopJoin, kHashJoin, kNestedLoopJoin,
+  kFilter, kProject, kSort, kLimit, kHashAggregate
+};
+
 // Runtime counters every physical operator maintains while pulling tuples.
 // The statement-level ExecStats is derived by summing these over the tree
 // (AccumulateOperatorCounters), so per-operator and whole-statement
@@ -134,7 +141,10 @@ bool JoinConditionsOk(const TablePlan& tp, const ColumnResolver& resolver,
 // opened inside DoOpen() nest under it), Close() stamps its duration and
 // the rows_out attribute — one span per operator covering its whole
 // Open..Close lifetime, with no per-Next clock reads on the tuple path.
-// Implementations override DoOpen/DoNext/DoClose.
+// Close() also adds the operator's final counters to its kind's
+// executor.op.<kind>.{invocations,rows_out,pages_read} series; every
+// operator of a tree is closed exactly once, by its parent or (for the
+// root) by the executor. Implementations override DoOpen/DoNext/DoClose.
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
@@ -145,12 +155,11 @@ class PhysicalOperator {
     span_.Leave();
   }
   bool Next(ExecTuple* out) { return DoNext(out); }
-  void Close() {
-    DoClose();
-    span_.End("rows_out", stats_.rows_out);
-  }
+  void Close();
 
-  virtual const char* name() const = 0;
+  virtual OperatorKind kind() const = 0;
+  // "SeqScan", "IndexScan", ...: what EXPLAIN and the trace spans show.
+  const char* name() const;
   // Human-readable target ("on orders via idx_orders_customer_id").
   virtual std::string detail() const = 0;
   // Slots per emitted tuple (1 for scans and row-shaped operators).

@@ -37,7 +37,7 @@ class FilterOp : public UnaryOpBase {
 
   bool DoNext(ExecTuple* out) override;
 
-  const char* name() const override { return "Filter"; }
+  OperatorKind kind() const override { return OperatorKind::kFilter; }
   std::string detail() const override;
   size_t out_width() const override { return child_->out_width(); }
 
@@ -60,7 +60,7 @@ class ProjectOp : public UnaryOpBase {
 
   bool DoNext(ExecTuple* out) override;
 
-  const char* name() const override { return "Project"; }
+  OperatorKind kind() const override { return OperatorKind::kProject; }
   std::string detail() const override;
   size_t out_width() const override { return 1; }
 
@@ -91,7 +91,7 @@ class SortOp : public UnaryOpBase {
 
   bool DoNext(ExecTuple* out) override;
 
-  const char* name() const override { return "Sort"; }
+  OperatorKind kind() const override { return OperatorKind::kSort; }
   std::string detail() const override;
   size_t out_width() const override { return child_->out_width(); }
 
@@ -121,7 +121,7 @@ class LimitOp : public UnaryOpBase {
 
   bool DoNext(ExecTuple* out) override;
 
-  const char* name() const override { return "Limit"; }
+  OperatorKind kind() const override { return OperatorKind::kLimit; }
   std::string detail() const override {
     return std::to_string(limit_) + " rows";
   }
@@ -148,7 +148,7 @@ class HashAggregateOp : public UnaryOpBase {
 
   bool DoNext(ExecTuple* out) override;
 
-  const char* name() const override { return "HashAggregate"; }
+  OperatorKind kind() const override { return OperatorKind::kHashAggregate; }
   std::string detail() const override;
   size_t out_width() const override { return 1; }
 

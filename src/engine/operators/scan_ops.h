@@ -22,7 +22,7 @@ class SeqScanOp : public PhysicalOperator {
   bool DoNext(ExecTuple* out) override;
   void DoClose() override {}
 
-  const char* name() const override { return "SeqScan"; }
+  OperatorKind kind() const override { return OperatorKind::kSeqScan; }
   std::string detail() const override;
   size_t out_width() const override { return 1; }
 
@@ -58,7 +58,7 @@ class IndexScanOp : public PhysicalOperator {
   bool DoNext(ExecTuple* out) override;
   void DoClose() override {}
 
-  const char* name() const override { return "IndexScan"; }
+  OperatorKind kind() const override { return OperatorKind::kIndexScan; }
   std::string detail() const override;
   size_t out_width() const override { return 1; }
 

@@ -16,10 +16,9 @@ StatusOr<ExecResult> Session::Execute(const std::string& sql) {
   // Statement trace root for text entry points (a no-op when the network
   // layer already opened one for the request).
   obs::ScopedTrace trace("statement");
-  StatusOr<Statement> stmt = [&] {
-    obs::ScopedSpan parse_span("parse");
-    return ParseSql(sql);
-  }();
+  obs::ScopedSpan parse_span("parse");
+  StatusOr<Statement> stmt = ParseSql(sql);
+  parse_span.End();
   if (!stmt.ok()) return stmt.status();
   return Execute(*stmt);
 }

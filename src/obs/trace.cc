@@ -52,10 +52,11 @@ void TraceContext::DetachSpan(uint32_t id) {
   active_ = data_.spans[id - 1].parent;
 }
 
-void TraceContext::FinishSpan(uint32_t id) {
-  if (id == 0) return;
+uint64_t TraceContext::FinishSpan(uint32_t id) {
+  if (id == 0) return 0;
   SpanRecord& span = data_.spans[id - 1];
   span.duration_us = watch_.ElapsedUs() - span.start_us;
+  return span.duration_us;
 }
 
 void TraceContext::SetSpanAttr(uint32_t id, const char* attr_name,
@@ -81,11 +82,11 @@ void TraceContext::Begin(const char* name, Tracer* tracer, uint64_t trace_id,
   root_ = StartSpan(name);
 }
 
-void TraceContext::End() {
-  EndSpan(root_);
-  data_.total_us = root_ == 0 ? 0 : data_.spans[root_ - 1].duration_us;
+uint64_t TraceContext::End() {
+  data_.total_us = EndSpan(root_);
   tracer_->Submit(data_);
   tracer_ = nullptr;
+  return data_.total_us;
 }
 
 void TraceContext::Abandon() {
@@ -188,59 +189,56 @@ uint64_t CurrentTraceId() {
   return tls_current == nullptr ? 0 : tls_current->trace_id();
 }
 
-ScopedTrace::ScopedTrace(const char* name, Tracer* tracer) {
-  if constexpr (util::kMetricsEnabled) {
-    if (tls_current != nullptr) return;  // nested: outermost scope wins
+ScopedTrace::ScopedTrace(const char* name, Tracer* tracer,
+                         util::LatencyHistogram* hist, Clock clock)
+    : sample_(hist) {
+  // Nested: the outermost scope owns the trace.
+  if (util::kMetricsEnabled && tls_current == nullptr) {
     if (tracer == nullptr) tracer = &Tracer::Default();
     bool sampled = false;
     const uint64_t id = tracer->BeginTrace(&sampled);
     tls_context.Begin(name, tracer, id, sampled);
     tls_current = &tls_context;
     ctx_ = &tls_context;
-  } else {
-    (void)name;
-    (void)tracer;
   }
+  sample_.Arm(/*traced=*/ctx_ != nullptr, clock);
 }
 
-ScopedTrace::~ScopedTrace() {
-  if (ctx_ == nullptr) return;
-  tls_current = nullptr;
-  if (ctx_->tracer_ != nullptr) ctx_->End();
+uint64_t ScopedTrace::End() {
+  uint64_t traced_us = 0;
+  if (ctx_ != nullptr) {
+    tls_current = nullptr;
+    if (ctx_->tracer_ != nullptr) traced_us = ctx_->End();
+    ctx_ = nullptr;
+  }
+  return sample_.Finish(traced_us);
 }
 
 void ScopedTrace::Cancel() {
+  sample_.Skip();
   if (ctx_ == nullptr || ctx_->tracer_ == nullptr) return;
   ctx_->Abandon();
-}
-
-uint64_t ScopedTrace::trace_id() const {
-  return ctx_ == nullptr ? 0 : ctx_->trace_id();
-}
-
-uint32_t ScopedTrace::span_count() const {
-  return ctx_ == nullptr ? 0 : ctx_->span_count();
-}
-
-void ScopedTrace::set_client_trace_id(uint64_t id) {
-  if (ctx_ != nullptr) ctx_->set_client_trace_id(id);
 }
 
 void ScopedTrace::SetRootAttr(const char* name, int64_t value) {
   if (ctx_ != nullptr) ctx_->SetSpanAttr(ctx_->root_, name, value);
 }
 
-ScopedSpan::ScopedSpan(const char* name) {
-  if constexpr (util::kMetricsEnabled) {
-    ctx_ = tls_current;
-    if (ctx_ != nullptr) id_ = ctx_->StartSpan(name);
-  } else {
-    (void)name;
-  }
+ScopedSpan::ScopedSpan(const char* name, util::LatencyHistogram* hist,
+                       Clock clock)
+    : sample_(hist) {
+  if (util::kMetricsEnabled) ctx_ = tls_current;
+  if (ctx_ != nullptr) id_ = ctx_->StartSpan(name);
+  sample_.Arm(/*traced=*/id_ != 0, clock);
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (ctx_ != nullptr) ctx_->EndSpan(id_);
+uint64_t ScopedSpan::End() {
+  uint64_t traced_us = 0;
+  if (ctx_ != nullptr) {
+    traced_us = ctx_->EndSpan(id_);
+    ctx_ = nullptr;
+  }
+  return sample_.Finish(traced_us);
 }
 
 void ScopedSpan::SetAttr(const char* name, int64_t value) {
@@ -248,12 +246,8 @@ void ScopedSpan::SetAttr(const char* name, int64_t value) {
 }
 
 void OperatorSpan::Begin(const char* name) {
-  if constexpr (util::kMetricsEnabled) {
-    ctx_ = tls_current;
-    if (ctx_ != nullptr) id_ = ctx_->StartSpan(name);
-  } else {
-    (void)name;
-  }
+  if (util::kMetricsEnabled) ctx_ = tls_current;
+  if (ctx_ != nullptr) id_ = ctx_->StartSpan(name);
 }
 
 void OperatorSpan::Leave() {

@@ -83,13 +83,14 @@ class TraceContext {
   uint32_t StartSpan(const char* name);
   // Pops the span off the active chain without stamping its duration.
   void DetachSpan(uint32_t id);
-  // Stamps the duration (now - start). The span must have been started.
-  void FinishSpan(uint32_t id);
+  // Stamps the duration (now - start) and returns it; 0 for id 0. The
+  // span must have been started.
+  uint64_t FinishSpan(uint32_t id);
   void SetSpanAttr(uint32_t id, const char* attr_name, int64_t value);
   // Detach + finish, for strictly nested (RAII) scopes.
-  void EndSpan(uint32_t id) {
+  uint64_t EndSpan(uint32_t id) {
     DetachSpan(id);
-    FinishSpan(id);
+    return FinishSpan(id);
   }
 
   uint64_t trace_id() const { return data_.trace_id; }
@@ -104,8 +105,9 @@ class TraceContext {
 
   void Begin(const char* name, Tracer* tracer, uint64_t trace_id,
              bool sampled);
-  // Closes the root span and offers the trace to the tracer.
-  void End();
+  // Closes the root span, offers the trace to the tracer, and returns
+  // the trace's total duration.
+  uint64_t End();
   void Abandon();
 
   TraceData data_;
@@ -201,55 +203,122 @@ class Tracer {
 uint64_t CurrentTraceId();
 
 // --- RAII instrumentation surface (the only API outside src/obs/) ------
+//
+// ScopedTrace and ScopedSpan are the single clock for a timed interval:
+// given a util::LatencyHistogram they also record the interval into it
+// when the scope ends — the same duration they stamp into the trace, and
+// on their own clock when no trace span measures it (no trace active, a
+// nested ScopedTrace, or a span past kMaxSpansPerTrace). The clock is
+// read only when a trace is active, a histogram is attached, or the
+// caller asked for Clock::kAlways.
+
+// Whether a scope reads the clock when nothing else needs it. kAlways is
+// for callers that act on End()'s duration (a deadline, a reported phase
+// time); it keeps timing even with metrics compiled out.
+enum class Clock { kWhenObserved, kAlways };
+
+// The histogram sample of one scope, plus the scope's own stopwatch for
+// when no trace span measures the interval.
+class ScopeSample {
+ public:
+  explicit ScopeSample(util::LatencyHistogram* hist) : hist_(hist) {}
+
+  // Arms the own stopwatch unless a trace span measures the interval.
+  void Arm(bool traced, Clock clock) {
+    own_clock_ = !traced && (clock == Clock::kAlways ||
+                             (util::kMetricsEnabled && hist_ != nullptr));
+    if (own_clock_) watch_.Restart();
+  }
+  // Records the interval (`traced_us` unless the own stopwatch runs)
+  // into the histogram once and returns it.
+  uint64_t Finish(uint64_t traced_us) {
+    const uint64_t us = own_clock_ ? watch_.ElapsedUs() : traced_us;
+    if (util::kMetricsEnabled && hist_ != nullptr) hist_->Record(us);
+    hist_ = nullptr;
+    own_clock_ = false;
+    return us;
+  }
+  void Skip() { hist_ = nullptr; }
+
+ private:
+  util::LatencyHistogram* hist_;
+  bool own_clock_ = false;
+  util::Stopwatch watch_{util::Stopwatch::DeferStart{}};
+};
 
 // Opens a trace for the lifetime of the scope. If a trace is already
-// active on this thread (or metrics are compiled out) the constructor is
-// a no-op and the scope merely nests inside the enclosing trace —
+// active on this thread (or metrics are compiled out) the constructor
+// opens none and the scope merely nests inside the enclosing trace —
 // layered entry points (server request → session → database) can each
-// guard themselves and the outermost one wins.
+// guard themselves and the outermost one wins. The histogram sample is
+// recorded either way.
 class [[nodiscard]] ScopedTrace {
  public:
-  explicit ScopedTrace(const char* name) : ScopedTrace(name, nullptr) {}
   // tracer = nullptr means Tracer::Default().
-  ScopedTrace(const char* name, Tracer* tracer);
-  ~ScopedTrace();
+  explicit ScopedTrace(const char* name, Tracer* tracer = nullptr,
+                       util::LatencyHistogram* hist = nullptr,
+                       Clock clock = Clock::kWhenObserved);
+  ~ScopedTrace() { (void)End(); }
 
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
+  // Submits the trace and records the sample now; returns the scope's
+  // duration in microseconds (0 when nothing timed it, and on any later
+  // call). Every span opened inside the scope must have ended first.
+  uint64_t End();
+
   // Discards the trace instead of submitting it (e.g. the request turned
-  // out not to be query traffic). Only meaningful on the owning scope.
+  // out not to be query traffic), and the histogram sample with it.
   void Cancel();
+  // Keeps the trace but leaves the sample out of the histogram (e.g. the
+  // timed operation failed).
+  void SkipSample() { sample_.Skip(); }
 
   // True when this scope opened the trace (not nested, not compiled
   // out). trace_id/span_count are live reads for wire propagation.
   bool owns() const { return ctx_ != nullptr; }
-  uint64_t trace_id() const;
-  uint32_t span_count() const;
-  void set_client_trace_id(uint64_t id);
+  uint64_t trace_id() const { return owns() ? ctx_->trace_id() : 0; }
+  uint32_t span_count() const { return owns() ? ctx_->span_count() : 0; }
+  void set_client_trace_id(uint64_t id) {
+    if (owns()) ctx_->set_client_trace_id(id);
+  }
   // Attribute on the root span (e.g. the server's span count echoed back
   // to a client-side trace).
   void SetRootAttr(const char* name, int64_t value);
 
  private:
   TraceContext* ctx_ = nullptr;
+  ScopeSample sample_;
 };
 
 // One span for the lifetime of the scope, under the thread's active
-// trace (no-op when none is active).
+// trace (no span when none is active; the histogram sample is recorded
+// either way).
 class [[nodiscard]] ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
-  ~ScopedSpan();
+  explicit ScopedSpan(const char* name,
+                      util::LatencyHistogram* hist = nullptr,
+                      Clock clock = Clock::kWhenObserved);
+  ~ScopedSpan() { (void)End(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+  // Closes the span and records the sample now; returns the span's
+  // duration in microseconds (0 when nothing timed it, and on any later
+  // call).
+  uint64_t End();
+  // Leaves this interval out of the histogram (e.g. the timed operation
+  // failed); the trace span is kept.
+  void SkipSample() { sample_.Skip(); }
 
   void SetAttr(const char* name, int64_t value);
 
  private:
   TraceContext* ctx_ = nullptr;
   uint32_t id_ = 0;
+  ScopeSample sample_;
 };
 
 // Two-phase span for Volcano operators, whose Open..Close lifetime is

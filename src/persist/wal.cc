@@ -224,8 +224,7 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
 
 Status Wal::AppendRecord(const WalRecord& record) {
   if (fd_ < 0) return Status::Internal("WAL is not open");
-  util::ScopedTimer append_timer(WalMetrics::Get().append_us);
-  obs::ScopedSpan append_span("wal.append");
+  obs::ScopedSpan append_span("wal.append", WalMetrics::Get().append_us);
   const std::string payload = SerializePayload(record);
   Writer frame;
   frame.PutU32(static_cast<uint32_t>(payload.size()));
@@ -233,7 +232,7 @@ Status Wal::AppendRecord(const WalRecord& record) {
   frame.PutBytes(payload.data(), payload.size());
   Status s = CrashCheckedWrite(fd_, frame.buffer().data(), frame.size());
   if (!s.ok()) {
-    append_timer.Cancel();  // failed writes would skew the latency series
+    append_span.SkipSample();  // failed writes would skew the series
     return s;
   }
   size_bytes_ += frame.size();
@@ -246,10 +245,9 @@ Status Wal::AppendRecord(const WalRecord& record) {
 
 Status Wal::Sync() {
   if (fd_ < 0) return Status::Internal("WAL is not open");
-  util::ScopedTimer fsync_timer(WalMetrics::Get().fsync_us);
-  obs::ScopedSpan fsync_span("wal.fsync");
+  obs::ScopedSpan fsync_span("wal.fsync", WalMetrics::Get().fsync_us);
   if (::fsync(fd_) != 0) {
-    fsync_timer.Cancel();
+    fsync_span.SkipSample();
     return Status::Internal(
         StrCat("fsync failed for ", path_, ": ", std::strerror(errno)));
   }

@@ -138,10 +138,10 @@ LatchManager::Guard LatchManager::Acquire(
         // only erases latches nobody holds or waits on), so `info` stays
         // a valid reference across the waits.
         LatchMetrics::Get().contended->Add();
-        util::ScopedTimer wait_timer(LatchMetrics::Get().wait_us);
-        // Contended-path span: records only thread-local trace state, so
-        // it is safe under mu_ (no lock-order edge).
-        obs::ScopedSpan wait_span("latch.wait");
+        // Contended-path span: records only thread-local trace state and
+        // a lock-free histogram, so it is safe under mu_ (no lock-order
+        // edge).
+        obs::ScopedSpan wait_span("latch.wait", LatchMetrics::Get().wait_us);
         ++info.waiting_writers;
         ++waiters_;
         do {
@@ -156,8 +156,7 @@ LatchManager::Guard LatchManager::Acquire(
       // a steady reader stream cannot starve index builds / updates.
       if (!SharedAdmissibleLocked(r.table)) {
         LatchMetrics::Get().contended->Add();
-        util::ScopedTimer wait_timer(LatchMetrics::Get().wait_us);
-        obs::ScopedSpan wait_span("latch.wait");
+        obs::ScopedSpan wait_span("latch.wait", LatchMetrics::Get().wait_us);
         ++waiters_;
         do {
           cv_.Wait(mu_);

@@ -26,12 +26,16 @@ size_t HeapTable::NumPages() const {
   return (slots + rows_per_page_ - 1) / rows_per_page_;
 }
 
+Status HeapTable::CheckArity(const Row& row) const {
+  if (row.size() == schema_.num_columns()) return Status::Ok();
+  return Status::InvalidArgument(
+      StrFormat("table %s expects %zu columns, got %zu", name_.c_str(),
+                schema_.num_columns(), row.size()));
+}
+
 StatusOr<RowId> HeapTable::Insert(Row row) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument(
-        StrFormat("table %s expects %zu columns, got %zu", name_.c_str(),
-                  schema_.num_columns(), row.size()));
-  }
+  Status s = CheckArity(row);
+  if (!s.ok()) return s;
   rows_.push_back(std::move(row));
   deleted_.push_back(false);
   allocated_slots_.fetch_add(1, std::memory_order_relaxed);

@@ -78,6 +78,9 @@ class HeapTable {
 
   // Appends a row; the row must match the schema arity. Returns its RowId.
   StatusOr<RowId> Insert(Row row);
+  // The only check Insert makes; lets a multi-row writer validate every
+  // row before the first one lands.
+  Status CheckArity(const Row& row) const;
 
   // Replaces the row at `rid`. Fails on a deleted or out-of-range slot.
   Status Update(RowId rid, Row row);

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -19,14 +21,17 @@ namespace util {
 // MetricsRegistry keyed by dotted lowercase names
 // (`<subsystem>.<thing>`, e.g. "wal.fsync_us"). Hot-path updates are
 // lock-free relaxed atomics; the registry mutex is only taken on first
-// lookup (call sites cache the returned pointer in a function-local
-// static) and on snapshot/render.
+// lookup (call sites resolve their pointers once, in a function-local
+// static, never per event) and on snapshot/render. A timed interval is
+// recorded by the obs::ScopedSpan / obs::ScopedTrace that already covers
+// it (src/obs/trace.h): handed a histogram, the span records the same
+// duration it stamps into the trace, so no interval has two clocks.
 //
 // Building with -DAUTOINDEX_METRICS=OFF defines
-// AUTOINDEX_METRICS_DISABLED: every update and every ScopedTimer clock
-// read compiles to nothing while all call sites keep compiling — the
-// baseline scripts/check.sh measures the instrumentation overhead
-// against.
+// AUTOINDEX_METRICS_DISABLED: every update, and every clock read a span
+// takes for a histogram or a trace, compiles to nothing while all call
+// sites keep compiling — the baseline scripts/check.sh measures the
+// instrumentation overhead against.
 #if defined(AUTOINDEX_METRICS_DISABLED)
 inline constexpr bool kMetricsEnabled = false;
 #else
@@ -38,11 +43,7 @@ inline constexpr bool kMetricsEnabled = true;
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if constexpr (kMetricsEnabled) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    if (kMetricsEnabled) value_.fetch_add(n, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -58,18 +59,10 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) {
-    if constexpr (kMetricsEnabled) {
-      value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
+    if (kMetricsEnabled) value_.store(v, std::memory_order_relaxed);
   }
   void Add(int64_t delta) {
-    if constexpr (kMetricsEnabled) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    if (kMetricsEnabled) value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -145,12 +138,7 @@ class LatencyHistogram {
   }
 
   static size_t BucketFor(uint64_t us) {
-    size_t b = 0;
-    while (us > 0 && b < kNumBuckets - 1) {
-      us >>= 1;
-      ++b;
-    }
-    return b;
+    return std::min<size_t>(std::bit_width(us), kNumBuckets - 1);
   }
 
  private:
@@ -167,10 +155,11 @@ class LatencyHistogram {
 };
 
 // Monotonic-clock stopwatch. The ONLY sanctioned way to do latency math
-// outside src/util/metrics.* / src/workload/ / bench/: the
+// outside src/util/metrics.* / src/obs/ / src/workload/ / bench/: the
 // raw-chrono-metric lint rule forbids naked steady_clock::now() calls
-// elsewhere, so instrumented subsystems time themselves through this
-// wrapper (or ScopedTimer below) and stay trivially auditable.
+// elsewhere. An interval that has a trace span is timed by that span
+// (obs::ScopedSpan); a Stopwatch is for intervals with none, such as a
+// latch hold.
 class Stopwatch {
  public:
   // Deferred-start tag: no clock read at construction (Restart() arms
@@ -197,37 +186,6 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-// RAII latency recorder: measures construction→destruction and records
-// into the given histogram (null target = disabled, zero cost beyond
-// the clock read; compiled-out builds skip the clock read too). Holds
-// no capability — annotated free of lock requirements so the
-// thread-safety analysis verifies timed scopes the same as untimed
-// ones.
-class [[nodiscard]] ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram* hist) : hist_(hist) {
-    if constexpr (kMetricsEnabled) {
-      if (hist_ != nullptr) watch_.Restart();
-    }
-  }
-  ~ScopedTimer() {
-    if constexpr (kMetricsEnabled) {
-      if (hist_ != nullptr) hist_->Record(watch_.ElapsedUs());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  // Detaches without recording (e.g. the timed operation failed in a way
-  // that should not pollute the distribution).
-  void Cancel() { hist_ = nullptr; }
-
- private:
-  LatencyHistogram* hist_;
-  Stopwatch watch_;
 };
 
 // Name → metric directory. Get* registers on first use and returns a

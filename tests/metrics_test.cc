@@ -438,6 +438,24 @@ TEST(MetricsEndToEnd, MixedWorkloadPopulatesSubsystemSeries) {
   MetricsRegistry::Default().ResetForTest();
 }
 
+// INSERT goes through the same statement bookkeeping as every other
+// statement: N successful inserts are N executor statements.
+TEST(MetricsEndToEnd, InsertsCountAsExecutorStatements) {
+  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", Schema({{"a", ValueType::kInt}})).ok());
+  constexpr uint64_t kInserts = 7;
+  const uint64_t before =
+      CounterOf(db.MetricsSnapshot("executor."), "executor.statements");
+  for (uint64_t i = 0; i < kInserts; ++i) {
+    ASSERT_TRUE(db.Execute(StrFormat("INSERT INTO t VALUES (%d)",
+                                     static_cast<int>(i)))
+                    .ok());
+  }
+  EXPECT_EQ(CounterOf(db.MetricsSnapshot("executor."), "executor.statements"),
+            before + kInserts);
+}
+
 // --- driver latency accounting ------------------------------------------
 
 std::unique_ptr<Database> MakeDriverDb() {

@@ -318,6 +318,39 @@ TEST(Wal, AppendsReplayOntoCheckpoint) {
   db.set_durability_log(nullptr);
 }
 
+// A multi-row INSERT that fails on a later row is all-or-nothing: no row
+// of it stays live, so the live table matches what the WAL recovers.
+TEST(Wal, FailedMultiRowInsertLeavesNoRowBehind) {
+  const std::string dir = FreshDir("wal_failed_insert");
+  Database db;
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                      {"b", ValueType::kInt}}))
+              .status());
+  CheckOk(db.Execute("INSERT INTO t VALUES (1, 1)"));
+  StatusOr<uint64_t> saved = persist::SaveSnapshot(&db, nullptr, dir);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  StatusOr<std::unique_ptr<Wal>> wal =
+      Wal::Create(persist::WalPath(dir), *saved);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  db.set_durability_log(wal->get());
+
+  const int64_t before = CountRows(&db, "t");
+  EXPECT_FALSE(db.Execute("INSERT INTO t (a, b) VALUES (2, 2), (3)").ok());
+  EXPECT_FALSE(db.Execute("INSERT INTO t (a, zz) VALUES (2, 2)").ok());
+  EXPECT_FALSE(db.Execute("INSERT INTO t VALUES (2, 2), (3)").ok());
+  EXPECT_EQ(CountRows(&db, "t"), before);
+  CheckOk(db.Execute("INSERT INTO t (a, b) VALUES (4, 4)"));
+  EXPECT_EQ(CountRows(&db, "t"), before + 1);
+
+  Database restored;
+  RecoveryReport report;
+  StatusOr<std::unique_ptr<Wal>> reopened =
+      persist::OpenSnapshot(&restored, nullptr, dir, &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(CountRows(&restored, "t"), CountRows(&db, "t"));
+  db.set_durability_log(nullptr);
+}
+
 // Tear the WAL at every record boundary and at offsets inside every
 // record: recovery must always come back to the longest durable prefix —
 // never crash, never apply a torn record.

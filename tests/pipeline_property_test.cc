@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,9 @@
 #include "engine/database.h"
 #include "sql/parser.h"
 #include "query_gen.h"
+#include "util/metrics.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace autoindex {
 namespace {
@@ -42,6 +45,50 @@ void ExpectCountersSumToStats(const PlanNodeSnapshot& plan,
   ASSERT_GE(plan.actual.rows_out, 0) << sql;
   EXPECT_EQ(static_cast<size_t>(plan.actual.rows_out), stats.rows_returned)
       << sql;
+}
+
+// The executor.op.<kind>.* counters, by name.
+std::map<std::string, uint64_t> OperatorCounters() {
+  std::map<std::string, uint64_t> out;
+  for (const auto& m : util::MetricsRegistry::Default().Snapshot(
+           "executor.op.")) {
+    out[m.name] = m.counter;
+  }
+  return out;
+}
+
+// What one statement should add to those counters: per operator kind,
+// one invocation plus its rows_out and pages read.
+void AddPlanCounters(const PlanNodeSnapshot& node,
+                     std::map<std::string, uint64_t>* out) {
+  const std::string base = StrCat("executor.op.", ToLower(node.op), ".");
+  (*out)[base + "invocations"] += 1;
+  (*out)[base + "rows_out"] += static_cast<uint64_t>(node.actual.rows_out);
+  (*out)[base + "pages_read"] += static_cast<uint64_t>(
+      node.actual.heap_pages_read + node.actual.index_pages_read);
+  for (const PlanNodeSnapshot& child : node.children) {
+    AddPlanCounters(child, out);
+  }
+}
+
+// The counters moved by exactly the per-kind sums over the statement's
+// plan.
+void ExpectOperatorCounterDeltas(const std::map<std::string, uint64_t>& before,
+                                 const PlanNodeSnapshot& plan,
+                                 const std::string& sql) {
+  std::map<std::string, uint64_t> expected;
+  AddPlanCounters(plan, &expected);
+  for (const auto& [name, value] : OperatorCounters()) {
+    const auto it = before.find(name);
+    const uint64_t delta = value - (it == before.end() ? 0 : it->second);
+    const auto want = expected.find(name);
+    EXPECT_EQ(delta, want == expected.end() ? 0 : want->second)
+        << name << " for " << sql;
+    expected.erase(name);
+  }
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(value, 0u) << name << " not exported, for " << sql;
+  }
 }
 
 class PipelinePropertyTest : public ::testing::TestWithParam<int> {};
@@ -73,6 +120,8 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
     const std::string expected =
         Canonical(ReferenceSelect(db, *stmt->select));
 
+    const std::map<std::string, uint64_t> counters_before =
+        OperatorCounters();
     auto r = db.Execute(sql);
     ASSERT_TRUE(r.ok()) << sql;
     EXPECT_EQ(Canonical(r->rows), expected) << sql;
@@ -80,6 +129,9 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
     // Every SELECT runs a pipeline and must return its snapshot.
     ASSERT_TRUE(r->plan.has_value()) << sql;
     ExpectCountersSumToStats(*r->plan, r->stats, sql);
+    if constexpr (util::kMetricsEnabled) {
+      ExpectOperatorCounterDeltas(counters_before, *r->plan, sql);
+    }
 
     // The registered PhysicalPlanValidator re-checks the retained snapshot
     // (plus every storage structure) after each statement.

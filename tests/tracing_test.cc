@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -232,6 +233,80 @@ TEST(Tracing, CancelDiscardsAndKeepPolicyFilters) {
   CheckReport report;
   TraceValidator::CheckSnapshot(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// A histogram-bearing span or trace records exactly one sample per
+// scope, whatever the trace state: untraced, nested, traced (where the
+// sample is the span's own duration) and past the span cap. A skipped or
+// cancelled scope records none.
+TEST(Tracing, ScopesRecordOneHistogramSampleInEveryCase) {
+  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
+  obs::Tracer tracer(8);
+  tracer.Configure(kKeepAll, 0.0);
+  util::LatencyHistogram span_hist;
+  util::LatencyHistogram trace_hist;
+
+  // No trace active.
+  { obs::ScopedSpan span("untraced", &span_hist); }
+  EXPECT_EQ(span_hist.Snapshot().count, 1u);
+
+  // Traced: the samples equal the span's and the trace's durations.
+  span_hist.Reset();
+  util::LatencyHistogram nested_hist;
+  uint64_t ended_us = 0;
+  {
+    obs::ScopedTrace trace("root", &tracer, &trace_hist);
+    obs::ScopedSpan span("timed", &span_hist);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ended_us = span.End();
+    EXPECT_EQ(span.End(), 0u);  // a second End records nothing
+    // Nested trace: not the owner, still one sample on its own clock.
+    obs::ScopedTrace nested("nested", &tracer, &nested_hist);
+    EXPECT_FALSE(nested.owns());
+  }
+  obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  ASSERT_EQ(snap.traces.size(), 1u);
+  const obs::SpanRecord* timed = FindSpan(snap.traces[0], "timed");
+  ASSERT_NE(timed, nullptr);
+  EXPECT_GE(timed->duration_us, 2000u);
+  EXPECT_EQ(ended_us, timed->duration_us);
+  EXPECT_EQ(span_hist.Snapshot().count, 1u);
+  EXPECT_EQ(span_hist.Snapshot().sum_us, timed->duration_us);
+  EXPECT_EQ(nested_hist.Snapshot().count, 1u);
+  EXPECT_EQ(trace_hist.Snapshot().count, 1u);
+  EXPECT_EQ(trace_hist.Snapshot().sum_us, snap.traces[0].total_us);
+
+  // Past the span cap: no span recorded, the sample still is.
+  span_hist.Reset();
+  {
+    obs::ScopedTrace trace("capped", &tracer);
+    for (uint32_t i = 0; i < obs::TraceContext::kMaxSpansPerTrace; ++i) {
+      obs::ScopedSpan filler("filler");
+    }
+    obs::ScopedSpan late("late", &span_hist);
+  }
+  EXPECT_EQ(span_hist.Snapshot().count, 1u);
+
+  // Skipped and cancelled scopes record nothing; a skipped trace is still
+  // submitted.
+  span_hist.Reset();
+  trace_hist.Reset();
+  tracer.ResetForTest();
+  {
+    obs::ScopedTrace trace("kept", &tracer, &trace_hist);
+    obs::ScopedSpan span("skipped", &span_hist);
+    span.SkipSample();
+    trace.SkipSample();
+  }
+  {
+    obs::ScopedTrace trace("cancelled", &tracer, &trace_hist);
+    trace.Cancel();
+  }
+  EXPECT_EQ(span_hist.Snapshot().count, 0u);
+  EXPECT_EQ(trace_hist.Snapshot().count, 0u);
+  snap = tracer.TakeSnapshot();
+  EXPECT_EQ(snap.stats.recorded, 1u);
+  EXPECT_EQ(snap.stats.cancelled, 1u);
 }
 
 TEST(Tracing, SpanCapDropsAndCounts) {
