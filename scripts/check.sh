@@ -191,6 +191,12 @@ print(f"BM_ExecutePointSelect: ON {on:.0f} ns, OFF {off:.0f} ns per "
       f"statement (min of 10 interleaved): ON/OFF {on / off:.2f}")
 EOF
 
+step "tier-1 tests (AUTOINDEX_METRICS=OFF)"
+# Metrics and tracing compiled out must still give a working engine; the
+# tests that assert on recorded metrics or traces skip in this build.
+cmake --build build-nometrics -j "${JOBS}"
+ctest --test-dir build-nometrics -L tier1 --output-on-failure
+
 if [[ "${FAST}" == "1" ]]; then
   step "OK (fast mode: sanitizer stages skipped)"
   exit 0

@@ -74,12 +74,12 @@ bool HashJoinOp::DoNext(ExecTuple* out) {
       Row probe;
       bool bound = true;
       for (const ColumnRef& src : join_sources_) {
-        Value v;
-        if (!resolver_.Resolve(src, &v)) {
+        const Value* v = resolver_.Resolve(src);
+        if (v == nullptr) {
           bound = false;
           break;
         }
-        probe.push_back(v);
+        probe.push_back(*v);
       }
       if (bound) {
         auto it = hash_.find(HashRow(probe));

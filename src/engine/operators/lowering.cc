@@ -11,26 +11,15 @@
 namespace autoindex {
 namespace {
 
-// Mirrors PrefixResolver::Resolve with a null top row: true when `col`
-// resolves to a table strictly before `level` (its row will be available
-// from the outer tuple at probe time). The walk is newest-table-first and
-// stops at the first schema match, exactly like the runtime resolver, so a
-// reference shadowed by the table being placed is unbindable.
+// True when `col` binds to a table strictly before `level`: its row will
+// be available from the outer tuple at probe time. BindColumn is the same
+// binding the runtime resolver uses, so a reference shadowed by the table
+// being placed is unbindable.
 bool StaticallyBindable(const Catalog& catalog,
                         const std::vector<TablePlan>& tables, size_t level,
                         const ColumnRef& col) {
-  for (size_t i = level + 1; i > 0; --i) {
-    const TableRef& ref = tables[i - 1].ref;
-    if (!col.table.empty() && col.table != ref.alias &&
-        col.table != ref.table) {
-      continue;
-    }
-    const HeapTable* t = catalog.GetTable(ref.table);
-    if (t == nullptr) continue;
-    if (t->schema().FindColumn(col.column) < 0) continue;
-    return (i - 1) != level;
-  }
-  return false;
+  const ColumnBinding b = BindColumn(catalog, tables, level, col);
+  return b.bound() && static_cast<size_t>(b.slot) != level;
 }
 
 // Whether every equality column of the chosen index prefix can be bound at

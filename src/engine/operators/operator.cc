@@ -1,6 +1,7 @@
 #include "engine/operators/operator.h"
 
 #include <array>
+#include <cassert>
 
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -55,23 +56,42 @@ void PhysicalOperator::Close() {
   }
 }
 
-bool PrefixResolver::Resolve(const ColumnRef& col, Value* out) const {
-  for (size_t i = level_ + 1; i > 0; --i) {
-    const TableRef& ref = tables_[i - 1].ref;
+ColumnBinding BindColumn(const Catalog& catalog,
+                         const std::vector<TablePlan>& tables, size_t level,
+                         const ColumnRef& col) {
+  for (size_t i = level + 1; i > 0; --i) {
+    const TableRef& ref = tables[i - 1].ref;
     if (!col.table.empty() && col.table != ref.alias &&
         col.table != ref.table) {
       continue;
     }
-    const HeapTable* t = catalog_.GetTable(ref.table);
+    const HeapTable* t = catalog.GetTable(ref.table);
     if (t == nullptr) continue;
     const int ord = t->schema().FindColumn(col.column);
     if (ord < 0) continue;
-    const Row* row = RowAt(i - 1);
-    if (row == nullptr) return false;
-    *out = (*row)[static_cast<size_t>(ord)];
-    return true;
+    return {static_cast<int>(i - 1), ord};
   }
-  return false;
+  return {};
+}
+
+ColumnBinding PrefixResolver::BindingOf(const ColumnRef& col) const {
+  const size_t n = memo_.size();
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = next_ + k < n ? next_ + k : next_ + k - n;
+    if (memo_[i].ref != &col) continue;
+    assert(memo_[i].bound_as == col && "ColumnRef changed or was freed");
+    next_ = i + 1 < n ? i + 1 : 0;
+    return memo_[i].binding;
+  }
+  MemoEntry entry;
+  entry.ref = &col;
+  entry.binding = BindColumn(catalog_, tables_, level_, col);
+#ifndef NDEBUG
+  entry.bound_as = col;
+#endif
+  memo_.push_back(std::move(entry));
+  next_ = 0;
+  return memo_.back().binding;
 }
 
 bool LocalConditionsOk(const TablePlan& tp, const ColumnResolver& resolver,

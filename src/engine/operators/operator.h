@@ -86,11 +86,40 @@ struct PlanNodeSnapshot {
 void AccumulateOperatorCounters(const PlanNodeSnapshot& node,
                                 ExecStats* stats);
 
+// Where a column reference reads its value: the tuple slot of the table
+// that owns it and the column's ordinal in that table's rows. An unbound
+// reference (no table of the prefix has the column) reads as "unbound":
+// predicates over it are false, projections of it give NULL.
+struct ColumnBinding {
+  int slot = -1;
+  int ordinal = -1;
+  bool bound() const { return slot >= 0; }
+};
+
+// Binds `col` over the join prefix tables[0..level]. The walk is newest
+// table first, so an unqualified name shadows exactly as in a nested-loop
+// evaluation over the join order; a qualifier matches the table's alias
+// or its real name. The first table whose schema has the column wins.
+ColumnBinding BindColumn(const Catalog& catalog,
+                         const std::vector<TablePlan>& tables, size_t level,
+                         const ColumnRef& col);
+
 // Resolves columns over the join prefix tables[0..level]: rows come from a
 // partially-built outer tuple plus an optional candidate row for the table
-// being placed (null while binding index key prefixes). Resolution walks
-// newest table first — the same order the monolithic executor used — so
-// unqualified names shadow identically.
+// being placed (null while binding index key prefixes).
+//
+// Each reference is bound (BindColumn: catalog lookup, name lowering,
+// schema probe) the first time this resolver sees it, and the binding is
+// memoised by the ColumnRef's address. After that a resolution is a
+// pointer compare and an index into the bound rows — no catalog lock, no
+// string work, no hashing on the tuple path.
+//
+// Lifetime contract: every ColumnRef passed to Resolve must outlive the
+// resolver (and so the operator owning it), and must not change. All
+// callers pass references owned by the statement (WHERE atoms, select
+// items, GROUP BY/ORDER BY columns) or by the plan and its operators (join
+// sources). Debug builds assert that a memoised entry still names the
+// same table and column.
 class PrefixResolver : public ColumnResolver {
  public:
   PrefixResolver(const Catalog& catalog, const std::vector<TablePlan>& tables,
@@ -104,11 +133,23 @@ class PrefixResolver : public ColumnResolver {
     outer_ = outer;
     top_ = top;
   }
-  void set_top(const Row* top) { top_ = top; }
 
-  bool Resolve(const ColumnRef& col, Value* out) const override;
+  const Value* Resolve(const ColumnRef& col) const override {
+    const ColumnBinding b = BindingOf(col);
+    if (!b.bound()) return nullptr;
+    const Row* row = RowAt(static_cast<size_t>(b.slot));
+    return row == nullptr ? nullptr : &(*row)[static_cast<size_t>(b.ordinal)];
+  }
 
  private:
+  struct MemoEntry {
+    const ColumnRef* ref = nullptr;
+    ColumnBinding binding;
+#ifndef NDEBUG
+    ColumnRef bound_as;  // what `ref` named when it was bound
+#endif
+  };
+
   const Row* RowAt(size_t i) const {
     if (outer_ != nullptr && i < outer_->slots.size()) {
       return &outer_->slots[i];
@@ -116,11 +157,18 @@ class PrefixResolver : public ColumnResolver {
     return i == level_ ? top_ : nullptr;
   }
 
+  ColumnBinding BindingOf(const ColumnRef& col) const;
+
   const Catalog& catalog_;
   const std::vector<TablePlan>& tables_;
   size_t level_;
   const ExecTuple* outer_ = nullptr;
   const Row* top_ = nullptr;
+  // A handful of entries per operator, in first-use order. Operators
+  // resolve the same references in the same order for every tuple, so the
+  // search starts after the previous hit and almost always ends at once.
+  mutable std::vector<MemoEntry> memo_;
+  mutable size_t next_ = 0;
 };
 
 // Evaluates the level's non-join (literal) conditions / join-equality

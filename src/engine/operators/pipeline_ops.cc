@@ -9,8 +9,8 @@ namespace autoindex {
 namespace {
 
 Value ProjectColumn(const ColumnResolver& resolver, const ColumnRef& col) {
-  Value v;
-  return resolver.Resolve(col, &v) ? v : Value::Null();
+  const Value* v = resolver.Resolve(col);
+  return v != nullptr ? *v : Value::Null();
 }
 
 // Aggregate accumulator for one group.
@@ -206,16 +206,16 @@ void HashAggregateOp::EnsureAggregated() {
     for (size_t k = 0; k < items_->size(); ++k) {
       const SelectItem& item = (*items_)[k];
       if (item.agg == AggFunc::kNone || item.star) continue;
-      const Value v = ProjectColumn(resolver_, item.column);
-      if (v.is_null()) continue;
+      const Value* v = resolver_.Resolve(item.column);
+      if (v == nullptr || v->is_null()) continue;
       ++st.non_null[k];
-      if (v.type() == ValueType::kString) {
+      if (v->type() == ValueType::kString) {
         st.non_numeric[k] = true;
       } else {
-        st.sums[k] += v.AsDouble();
+        st.sums[k] += v->AsDouble();
       }
-      if (st.mins[k].is_null() || v.Compare(st.mins[k]) < 0) st.mins[k] = v;
-      if (st.maxs[k].is_null() || v.Compare(st.maxs[k]) > 0) st.maxs[k] = v;
+      if (st.mins[k].is_null() || v->Compare(st.mins[k]) < 0) st.mins[k] = *v;
+      if (st.maxs[k].is_null() || v->Compare(st.maxs[k]) > 0) st.maxs[k] = *v;
     }
   }
   if (groups.empty() && group_by_->empty()) {

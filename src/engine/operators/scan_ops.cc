@@ -1,35 +1,22 @@
 #include "engine/operators/scan_ops.h"
 
 #include <functional>
+#include <string>
 
 namespace autoindex {
 namespace {
 
-// For a local index: the bound value of the table's partition column, when
-// an equality condition pins it (literal, or join-resolved from the outer
-// tuple). Returns false when unbound (the scan must probe every shard).
-bool ResolvePartitionValue(const BuiltIndex& index, const HeapTable& table,
-                           const std::vector<ColumnCondition>& conditions,
-                           const ColumnResolver& resolver, Value* out) {
-  if (!index.is_local() || !table.partitioned()) return false;
-  const std::string& pcol =
-      table.schema().column(static_cast<size_t>(table.partition_column()))
-          .name;
+// The level's equality conditions on `column`, in extraction order.
+std::vector<const ColumnCondition*> EqConditionsOn(
+    const std::vector<ColumnCondition>& conditions,
+    const std::string& column) {
+  std::vector<const ColumnCondition*> out;
   for (const ColumnCondition& c : conditions) {
-    if (c.column != pcol || c.kind != ColumnCondition::kEq) continue;
-    if (c.join_source.has_value()) {
-      if (resolver.Resolve(*c.join_source, out)) return true;
-      continue;
+    if (c.column == column && c.kind == ColumnCondition::kEq) {
+      out.push_back(&c);
     }
-    *out = c.literal;
-    return true;
   }
-  return false;
-}
-
-size_t HeapPageKey(const HeapTable& table, RowId rid) {
-  return table.PageOfRow(rid) ^
-         (std::hash<std::string>()(table.name()) << 1);
+  return out;
 }
 
 }  // namespace
@@ -99,7 +86,37 @@ IndexScanOp::IndexScanOp(ExecContext* ctx,
       level_(level),
       table_(ctx->catalog->GetTable(tables[level].ref.table)),
       index_(index),
-      resolver_(*ctx->catalog, tables, level) {}
+      resolver_(*ctx->catalog, tables, level),
+      page_key_salt_(std::hash<std::string>()(table_->name()) << 1) {
+  // Which conditions feed each key column is fixed by the plan; only the
+  // join-bound values change between probes.
+  const TablePlan& tp = tables[level];
+  const std::vector<std::string>& columns = tp.access.index.columns;
+  for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
+    eq_keys_.push_back(EqConditionsOn(tp.conditions, columns[k]));
+  }
+  if (tp.access.has_range && tp.access.eq_prefix_len < columns.size()) {
+    const std::string& rcol = columns[tp.access.eq_prefix_len];
+    for (const ColumnCondition& c : tp.conditions) {
+      if (c.column != rcol) continue;
+      if (c.kind == ColumnCondition::kRangeLo && range_lo_ == nullptr) {
+        range_lo_ = &c;
+      } else if (c.kind == ColumnCondition::kRangeHi &&
+                 range_hi_ == nullptr) {
+        range_hi_ = &c;
+      }
+    }
+  }
+  // A local index probes one shard when an equality pins the table's
+  // partition column; otherwise it probes every shard.
+  if (index_->is_local() && table_->partitioned()) {
+    const std::string& pcol =
+        table_->schema()
+            .column(static_cast<size_t>(table_->partition_column()))
+            .name;
+    partition_keys_ = EqConditionsOn(tp.conditions, pcol);
+  }
+}
 
 void IndexScanOp::DoOpen() {
   // Standalone use (leftmost table / write lookup): one probe, all key
@@ -110,8 +127,16 @@ void IndexScanOp::DoOpen() {
   }
 }
 
+const Value* IndexScanOp::FirstBound(
+    const std::vector<const ColumnCondition*>& conditions) const {
+  for (const ColumnCondition* c : conditions) {
+    if (!c->join_source.has_value()) return &c->literal;
+    if (const Value* v = resolver_.Resolve(*c->join_source)) return v;
+  }
+  return nullptr;
+}
+
 bool IndexScanOp::Rebind(const ExecTuple* outer) {
-  const TablePlan& tp = tables_[level_];
   outer_ = outer;
   rids_.clear();
   cursor_ = 0;
@@ -120,52 +145,25 @@ bool IndexScanOp::Rebind(const ExecTuple* outer) {
   // Runtime key prefix: equality columns may be literals or join
   // references resolved from the outer tuple.
   Row lo, hi;
-  bool lo_inc = true, hi_inc = true;
-  for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
-    const std::string& icol = tp.access.index.columns[k];
-    bool bound = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.column != icol || c.kind != ColumnCondition::kEq) continue;
-      Value v;
-      if (c.join_source.has_value()) {
-        if (!resolver_.Resolve(*c.join_source, &v)) continue;
-      } else {
-        v = c.literal;
-      }
-      lo.push_back(v);
-      hi.push_back(v);
-      bound = true;
-      break;
-    }
-    if (!bound) return false;
+  for (const std::vector<const ColumnCondition*>& candidates : eq_keys_) {
+    const Value* v = FirstBound(candidates);
+    if (v == nullptr) return false;
+    lo.push_back(*v);
+    hi.push_back(*v);
   }
-  if (tp.access.has_range &&
-      tp.access.eq_prefix_len < tp.access.index.columns.size()) {
-    const std::string& rcol = tp.access.index.columns[tp.access.eq_prefix_len];
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.column != rcol) continue;
-      if (c.kind == ColumnCondition::kRangeLo) {
-        if (lo.size() == tp.access.eq_prefix_len) {
-          lo.push_back(c.literal);
-          lo_inc = c.inclusive;
-        }
-      } else if (c.kind == ColumnCondition::kRangeHi) {
-        if (hi.size() == tp.access.eq_prefix_len) {
-          hi.push_back(c.literal);
-          hi_inc = c.inclusive;
-        }
-      }
-    }
+  bool lo_inc = true, hi_inc = true;
+  if (range_lo_ != nullptr) {
+    lo.push_back(range_lo_->literal);
+    lo_inc = range_lo_->inclusive;
+  }
+  if (range_hi_ != nullptr) {
+    hi.push_back(range_hi_->literal);
+    hi_inc = range_hi_->inclusive;
   }
 
   size_t index_pages = 0;
-  const Row* lo_ptr = lo.empty() ? nullptr : &lo;
-  const Row* hi_ptr = hi.empty() ? nullptr : &hi;
-  Value partition_value;
-  const bool pruned = ResolvePartitionValue(
-      *index_, *table_, tp.conditions, resolver_, &partition_value);
-  index_->Scan(pruned ? &partition_value : nullptr, lo_ptr, lo_inc, hi_ptr,
-               hi_inc,
+  index_->Scan(FirstBound(partition_keys_), lo.empty() ? nullptr : &lo,
+               lo_inc, hi.empty() ? nullptr : &hi, hi_inc,
                [&](const Row&, RowId rid) {
                  rids_.push_back(rid);
                  return true;
@@ -182,7 +180,8 @@ bool IndexScanOp::DoNext(ExecTuple* out) {
   while (cursor_ < rids_.size()) {
     const RowId rid = rids_[cursor_++];
     if (!table_->IsLive(rid)) continue;
-    if (ctx_->probed_heap_pages.insert(HeapPageKey(*table_, rid)).second) {
+    if (ctx_->probed_heap_pages.insert(table_->PageOfRow(rid) ^ page_key_salt_)
+            .second) {
       ++stats_.heap_pages_read;
     }
     const Row& row = table_->Get(rid);

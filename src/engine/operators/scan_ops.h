@@ -72,12 +72,26 @@ class IndexScanOp : public PhysicalOperator {
                       std::vector<AccessPathFeedback>* out) const override;
 
  private:
+  // The value of the first condition that binds: a literal, or a join
+  // source resolved against the outer tuple. Null when none binds.
+  const Value* FirstBound(
+      const std::vector<const ColumnCondition*>& conditions) const;
+
   ExecContext* ctx_;
   const std::vector<TablePlan>& tables_;
   size_t level_;
   const HeapTable* table_;
   const BuiltIndex* index_;
   PrefixResolver resolver_;
+  // Namespaces this table's pages in ExecContext::probed_heap_pages.
+  size_t page_key_salt_;
+  // Per equality key column, the conditions that can bind it (tried in
+  // order); the range bounds on the next column; the equalities on the
+  // partition column of a local index. Pointers into tables_[level_].
+  std::vector<std::vector<const ColumnCondition*>> eq_keys_;
+  const ColumnCondition* range_lo_ = nullptr;
+  const ColumnCondition* range_hi_ = nullptr;
+  std::vector<const ColumnCondition*> partition_keys_;
   const ExecTuple* outer_ = nullptr;
   std::vector<RowId> rids_;
   size_t cursor_ = 0;

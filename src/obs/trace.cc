@@ -37,10 +37,14 @@ uint32_t TraceContext::StartSpan(const char* name) {
     ++data_.spans_dropped;
     return 0;
   }
+  return PushSpan(name, watch_.ElapsedUs());
+}
+
+uint32_t TraceContext::PushSpan(const char* name, uint64_t start_us) {
   SpanRecord span;
   span.id = static_cast<uint32_t>(data_.spans.size() + 1);
   span.parent = active_;
-  span.start_us = watch_.ElapsedUs();
+  span.start_us = start_us;
   span.name = name;
   data_.spans.push_back(span);
   active_ = span.id;
@@ -69,17 +73,20 @@ void TraceContext::SetSpanAttr(uint32_t id, const char* attr_name,
 
 void TraceContext::Begin(const char* name, Tracer* tracer, uint64_t trace_id,
                          bool sampled) {
+  // One clock read places the trace in the tracer's epoch, starts its
+  // stopwatch and opens the root span at 0.
+  const util::Stopwatch::TimePoint now = util::Stopwatch::Now();
   tracer_ = tracer;
   data_.trace_id = trace_id;
   data_.client_trace_id = 0;
-  data_.start_offset_us = tracer->EpochElapsedUs();
+  data_.start_offset_us = tracer->epoch_.ElapsedUsAt(now);
   data_.total_us = 0;
   data_.spans_dropped = 0;
   data_.sampled = sampled;
   data_.spans.clear();
   active_ = 0;
-  watch_.Restart();
-  root_ = StartSpan(name);
+  watch_.RestartAt(now);
+  root_ = PushSpan(name, 0);
 }
 
 uint64_t TraceContext::End() {
@@ -120,35 +127,57 @@ uint64_t Tracer::BeginTrace(bool* sampled) {
 }
 
 void Tracer::Submit(const TraceData& data) {
+  if (data.spans_dropped > 0) {
+    spans_dropped_.fetch_add(data.spans_dropped, std::memory_order_relaxed);
+  }
   const bool slow =
       data.total_us >= slow_us_.load(std::memory_order_relaxed);
-  util::MutexLock lock(mu_);
-  ++stats_.finished;
-  stats_.spans_dropped += data.spans_dropped;
   if (!slow && !data.sampled) {
-    ++stats_.sampled_out;
+    sampled_out_.fetch_add(1, std::memory_order_relaxed);
+    finished_.fetch_add(1, std::memory_order_release);
     return;
   }
-  ++stats_.recorded;
+  util::MutexLock lock(mu_);
+  ++recorded_;
   if (ring_.size() < capacity_) {
     ring_.push_back(data);
   } else {
     ring_[next_slot_] = data;
   }
   next_slot_ = (next_slot_ + 1) % capacity_;
+  finished_.fetch_add(1, std::memory_order_release);
 }
 
 void Tracer::NoteCancelled() {
   util::MutexLock lock(mu_);
-  ++stats_.cancelled;
+  ++cancelled_;
 }
 
 Tracer::Snapshot Tracer::TakeSnapshot() const {
   Snapshot snap;
   snap.capacity = capacity_;
   util::MutexLock lock(mu_);
-  snap.stats = stats_;
-  snap.stats.started = next_trace_id_.load(std::memory_order_relaxed);
+  Stats& stats = snap.stats;
+  // The lock holds recorded_ and the kept share of finished_ still, but a
+  // dropped trace may sit between its two lock-free adds. Re-read until
+  // none does, so a correct Submit always yields a balanced snapshot
+  // (finished == recorded + sampled_out); a dropped trace finishes its
+  // adds without waiting for anything. The bound turns a Submit that
+  // stopped balancing into a validator report instead of a hang.
+  for (int round = 0; round < 1000; ++round) {
+    stats.sampled_out = sampled_out_.load(std::memory_order_acquire);
+    stats.finished = finished_.load(std::memory_order_acquire);
+    if (stats.finished == recorded_ + stats.sampled_out) break;
+  }
+  stats.recorded = recorded_;
+  stats.cancelled = cancelled_;
+  stats.spans_dropped = spans_dropped_.load(std::memory_order_relaxed);
+  // Loaded after finished_: every submitted trace had its id allocated
+  // first, so started never reads behind finished.
+  stats.started = next_trace_id_.load(std::memory_order_acquire);
+  stats.finished += skew_.finished;
+  stats.recorded += skew_.recorded;
+  stats.sampled_out += skew_.sampled_out;
   // Oldest first: once the ring wrapped, next_slot_ points at the oldest
   // kept trace.
   snap.traces.reserve(ring_.size());
@@ -163,7 +192,12 @@ void Tracer::ResetForTest() {
   util::MutexLock lock(mu_);
   ring_.clear();
   next_slot_ = 0;
-  stats_ = Stats{};
+  recorded_ = 0;
+  cancelled_ = 0;
+  skew_ = Stats{};
+  finished_.store(0, std::memory_order_relaxed);
+  sampled_out_.store(0, std::memory_order_relaxed);
+  spans_dropped_.store(0, std::memory_order_relaxed);
   next_trace_id_.store(0, std::memory_order_relaxed);
 }
 
@@ -177,9 +211,9 @@ TraceData* Tracer::TestOnlyMutableTrace(size_t index) {
 void Tracer::TestOnlyCorruptStats(int64_t d_finished, int64_t d_recorded,
                                   int64_t d_sampled_out) {
   util::MutexLock lock(mu_);
-  stats_.finished += static_cast<uint64_t>(d_finished);
-  stats_.recorded += static_cast<uint64_t>(d_recorded);
-  stats_.sampled_out += static_cast<uint64_t>(d_sampled_out);
+  skew_.finished += static_cast<uint64_t>(d_finished);
+  skew_.recorded += static_cast<uint64_t>(d_recorded);
+  skew_.sampled_out += static_cast<uint64_t>(d_sampled_out);
 }
 
 // --- RAII helpers ------------------------------------------------------

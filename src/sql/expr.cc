@@ -253,17 +253,12 @@ bool LikeMatch(const std::string& text, const std::string& pattern, size_t ti,
   return ti == text.size();
 }
 
-// Evaluates a scalar (kColumn or kLiteral) node. Returns false when the
+// Evaluates a scalar (kColumn or kLiteral) node in place. Null when the
 // column is unbound.
-bool EvalScalar(const Expr& expr, const ColumnResolver& resolver, Value* out) {
-  if (expr.kind == ExprKind::kLiteral) {
-    *out = expr.literal;
-    return true;
-  }
-  if (expr.kind == ExprKind::kColumn) {
-    return resolver.Resolve(expr.column, out);
-  }
-  return false;
+const Value* EvalScalar(const Expr& expr, const ColumnResolver& resolver) {
+  if (expr.kind == ExprKind::kLiteral) return &expr.literal;
+  if (expr.kind == ExprKind::kColumn) return resolver.Resolve(expr.column);
+  return nullptr;
 }
 
 }  // namespace
@@ -283,18 +278,19 @@ bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver) {
     case ExprKind::kNot:
       return !EvaluatePredicate(*expr.children[0], resolver);
     case ExprKind::kCompare: {
-      Value lhs, rhs;
-      if (!EvalScalar(*expr.children[0], resolver, &lhs)) return false;
-      if (!EvalScalar(*expr.children[1], resolver, &rhs)) return false;
-      if (lhs.is_null() || rhs.is_null()) return false;
+      const Value* lhs = EvalScalar(*expr.children[0], resolver);
+      if (lhs == nullptr) return false;
+      const Value* rhs = EvalScalar(*expr.children[1], resolver);
+      if (rhs == nullptr) return false;
+      if (lhs->is_null() || rhs->is_null()) return false;
       if (expr.op == CompareOp::kLike) {
-        if (lhs.type() != ValueType::kString ||
-            rhs.type() != ValueType::kString) {
+        if (lhs->type() != ValueType::kString ||
+            rhs->type() != ValueType::kString) {
           return false;
         }
-        return LikeMatch(lhs.AsString(), rhs.AsString(), 0, 0);
+        return LikeMatch(lhs->AsString(), rhs->AsString(), 0, 0);
       }
-      const int c = lhs.Compare(rhs);
+      const int c = lhs->Compare(*rhs);
       switch (expr.op) {
         case CompareOp::kEq:
           return c == 0;
@@ -314,20 +310,21 @@ bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver) {
       return false;
     }
     case ExprKind::kBetween: {
-      Value v, lo, hi;
-      if (!EvalScalar(*expr.children[0], resolver, &v)) return false;
-      if (!EvalScalar(*expr.children[1], resolver, &lo)) return false;
-      if (!EvalScalar(*expr.children[2], resolver, &hi)) return false;
-      if (v.is_null() || lo.is_null() || hi.is_null()) return false;
-      return v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
+      const Value* v = EvalScalar(*expr.children[0], resolver);
+      if (v == nullptr) return false;
+      const Value* lo = EvalScalar(*expr.children[1], resolver);
+      if (lo == nullptr) return false;
+      const Value* hi = EvalScalar(*expr.children[2], resolver);
+      if (hi == nullptr) return false;
+      if (v->is_null() || lo->is_null() || hi->is_null()) return false;
+      return v->Compare(*lo) >= 0 && v->Compare(*hi) <= 0;
     }
     case ExprKind::kInList: {
-      Value v;
-      if (!EvalScalar(*expr.children[0], resolver, &v)) return false;
-      if (v.is_null()) return false;
+      const Value* v = EvalScalar(*expr.children[0], resolver);
+      if (v == nullptr || v->is_null()) return false;
       bool found = false;
       for (const Value& item : expr.in_list) {
-        if (v.Compare(item) == 0) {
+        if (v->Compare(item) == 0) {
           found = true;
           break;
         }
@@ -335,17 +332,16 @@ bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver) {
       return expr.negated ? !found : found;
     }
     case ExprKind::kIsNull: {
-      Value v;
-      if (!EvalScalar(*expr.children[0], resolver, &v)) return false;
-      return expr.negated ? !v.is_null() : v.is_null();
+      const Value* v = EvalScalar(*expr.children[0], resolver);
+      if (v == nullptr) return false;
+      return expr.negated ? !v->is_null() : v->is_null();
     }
     case ExprKind::kColumn:
     case ExprKind::kLiteral: {
       // A bare scalar in boolean context: truthy when non-null/non-zero.
-      Value v;
-      if (!EvalScalar(expr, resolver, &v)) return false;
-      if (v.is_null()) return false;
-      if (v.type() == ValueType::kInt) return v.AsInt() != 0;
+      const Value* v = EvalScalar(expr, resolver);
+      if (v == nullptr || v->is_null()) return false;
+      if (v->type() == ValueType::kInt) return v->AsInt() != 0;
       return true;
     }
   }

@@ -91,14 +91,16 @@ struct Expr {
   std::string ToString() const;
 };
 
-// Evaluates a boolean expression over a row. `resolve` maps a ColumnRef to
-// the value in the current row. Atoms involving NULL evaluate to false
+// Evaluates a boolean expression over a row. `resolver` maps a ColumnRef
+// to the value in the current row. Atoms involving NULL evaluate to false
 // (two-valued logic is sufficient for this engine).
 class ColumnResolver {
  public:
   virtual ~ColumnResolver() = default;
-  // Returns true and sets *out when the column is bound.
-  virtual bool Resolve(const ColumnRef& col, Value* out) const = 0;
+  // The column's value in the current row, read in place (no copy); null
+  // when the column is unbound. Valid until the resolver moves to another
+  // row.
+  virtual const Value* Resolve(const ColumnRef& col) const = 0;
 };
 
 bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver);

@@ -167,17 +167,23 @@ class Stopwatch {
   // instrumentation is compiled out.
   struct DeferStart {};
 
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
+  using TimePoint = std::chrono::steady_clock::time_point;
+  static TimePoint Now() { return std::chrono::steady_clock::now(); }
+
+  Stopwatch() : start_(Now()) {}
   explicit Stopwatch(DeferStart) {}
 
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
-
-  uint64_t ElapsedUs() const {
+  void Restart() { start_ = Now(); }
+  // Restart/ElapsedUs at an instant the caller already read, so several
+  // clocks can share one read.
+  void RestartAt(TimePoint now) { start_ = now; }
+  uint64_t ElapsedUsAt(TimePoint now) const {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start_)
+        std::chrono::duration_cast<std::chrono::microseconds>(now - start_)
             .count());
   }
+
+  uint64_t ElapsedUs() const { return ElapsedUsAt(Now()); }
   double ElapsedMs() const {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start_)

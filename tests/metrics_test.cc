@@ -60,6 +60,7 @@ TEST(Histogram, BucketScheme) {
 }
 
 TEST(Histogram, DeterministicPercentiles) {
+  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
   LatencyHistogram hist;
   for (uint64_t us = 1; us <= 1000; ++us) hist.Record(us);
   const HistogramSnapshot snap = hist.Snapshot();
@@ -149,6 +150,7 @@ TEST(Histogram, MultiWriterStressKeepsInvariants) {
 }
 
 TEST(Histogram, MergeAddsSnapshots) {
+  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
   LatencyHistogram a;
   LatencyHistogram b;
   a.Record(10);

@@ -3,18 +3,26 @@
 // multiset of the naive reference evaluator (query_gen.h), AND the
 // per-operator counters in the returned plan snapshot must sum exactly to
 // the statement-level ExecStats — the invariant the PhysicalPlanValidator
-// enforces. 6 seeds x 40 queries = 240 deterministic queries, each checked
-// with a mixed index set built so IndexScan / IndexNestedLoopJoin paths are
-// exercised alongside SeqScan / HashJoin.
+// enforces. Two passes of 6 seeds x 40 deterministic queries each:
+//  - the canonical small tables with a seed-dependent index subset, where
+//    SeqScan / HashJoin plans dominate;
+//  - a larger t1 and a tiny t2 over a wider value domain, planned with
+//    index probes priced like sequential pages, where selective predicates
+//    run through IndexScan and joins driven by t2 through
+//    IndexNestedLoopJoin. The pass asserts that both index operators ran.
+// A focused test pins how column references resolve over a join.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "check/validator.h"
 #include "engine/database.h"
+#include "engine/operators/operator.h"
+#include "sql/expr.h"
 #include "sql/parser.h"
 #include "query_gen.h"
 #include "util/metrics.h"
@@ -91,6 +99,55 @@ void ExpectOperatorCounterDeltas(const std::map<std::string, uint64_t>& before,
   }
 }
 
+void CollectOperatorNames(const PlanNodeSnapshot& node,
+                          std::set<std::string>* out) {
+  out->insert(node.op);
+  for (const PlanNodeSnapshot& child : node.children) {
+    CollectOperatorNames(child, out);
+  }
+}
+
+// Runs `n` generated queries against `db`, checking each against the
+// reference evaluator, the counter invariants and CheckAll. Adds one to
+// (*ran)[op] for every query whose plan contains operator `op`.
+void RunDifferentialQueries(Database* db, GenContext* gen, int n,
+                            std::map<std::string, int>* ran) {
+  for (int i = 0; i < n; ++i) {
+    const std::string sql = gen->RandQuery();
+    auto stmt = ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    const std::string expected =
+        Canonical(ReferenceSelect(*db, *stmt->select));
+
+    const std::map<std::string, uint64_t> counters_before =
+        OperatorCounters();
+    auto r = db->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql;
+    EXPECT_EQ(Canonical(r->rows), expected) << sql;
+
+    // Every SELECT runs a pipeline and must return its snapshot.
+    ASSERT_TRUE(r->plan.has_value()) << sql;
+    ExpectCountersSumToStats(*r->plan, r->stats, sql);
+    if constexpr (util::kMetricsEnabled) {
+      ExpectOperatorCounterDeltas(counters_before, *r->plan, sql);
+    }
+    std::set<std::string> ops;
+    CollectOperatorNames(*r->plan, &ops);
+    for (const std::string& op : ops) ++(*ran)[op];
+
+    // The registered PhysicalPlanValidator re-checks the retained snapshot
+    // (plus every storage structure) after each statement.
+    const CheckReport report = CheckAll(*db);
+    EXPECT_TRUE(report.ok()) << sql << "\n" << report.ToString();
+  }
+}
+
+uint64_t InvocationsOf(const std::string& op) {
+  const auto counters = OperatorCounters();
+  const auto it = counters.find("executor.op." + op + ".invocations");
+  return it == counters.end() ? 0 : it->second;
+}
+
 class PipelinePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
@@ -113,35 +170,172 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
   }
 
   GenContext gen(seed + 1000);  // distinct stream from query_property_test
-  for (int i = 0; i < 40; ++i) {
-    const std::string sql = gen.RandQuery();
-    auto stmt = ParseSql(sql);
-    ASSERT_TRUE(stmt.ok()) << sql;
-    const std::string expected =
-        Canonical(ReferenceSelect(db, *stmt->select));
+  std::map<std::string, int> ran;
+  RunDifferentialQueries(&db, &gen, 40, &ran);
+}
 
-    const std::map<std::string, uint64_t> counters_before =
-        OperatorCounters();
-    auto r = db.Execute(sql);
-    ASSERT_TRUE(r.ok()) << sql;
-    EXPECT_EQ(Canonical(r->rows), expected) << sql;
+// Index probes priced like sequential pages (a fully cached database):
+// on the 800-row t1 a selective equality or narrow range is cheaper
+// through an index than through a scan, and a join driven by the 2-row t2
+// probes t1's (b, c) index per outer row instead of hashing all of t1.
+constexpr CostParams kCachedCostParams{/*seq_page_cost=*/1.0,
+                                       /*random_page_cost=*/1.0};
+constexpr querygen::TableShape kIndexPassShape{/*t1_rows=*/800,
+                                               /*t2_rows=*/2,
+                                               /*domain=*/400};
 
-    // Every SELECT runs a pipeline and must return its snapshot.
-    ASSERT_TRUE(r->plan.has_value()) << sql;
-    ExpectCountersSumToStats(*r->plan, r->stats, sql);
-    if constexpr (util::kMetricsEnabled) {
-      ExpectOperatorCounterDeltas(counters_before, *r->plan, sql);
-    }
+TEST_P(PipelinePropertyTest, IndexPassMatchesReferenceAndRunsIndexOperators) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  Database db(kCachedCostParams);
+  BuildPropertyTestTables(&db, seed, kIndexPassShape);
+  ASSERT_TRUE(db.CreateIndex(IndexDef("t2", {"x"})).ok());
+  for (const IndexDef& def :
+       {IndexDef("t1", {"a"}), IndexDef("t1", {"b", "c"}),
+        IndexDef("t1", {"c", "a"}), IndexDef("t1", {"s"})}) {
+    ASSERT_TRUE(db.CreateIndex(def).ok());
+  }
 
-    // The registered PhysicalPlanValidator re-checks the retained snapshot
-    // (plus every storage structure) after each statement.
-    const CheckReport report = CheckAll(db);
-    EXPECT_TRUE(report.ok()) << sql << "\n" << report.ToString();
+  const uint64_t index_scans_before = InvocationsOf("indexscan");
+  const uint64_t index_joins_before = InvocationsOf("indexnestedloopjoin");
+  GenContext gen(seed + 2000, kIndexPassShape.domain);
+  gen.limit_needs_total_order = true;
+  std::map<std::string, int> ran;
+  RunDifferentialQueries(&db, &gen, 40, &ran);
+
+  // A real share of the queries ran each index operator, so the pass
+  // cannot silently fall back to scans and hash joins.
+  EXPECT_GE(ran["IndexScan"], 8) << "seed " << seed;
+  EXPECT_GE(ran["IndexNestedLoopJoin"], 3) << "seed " << seed;
+  if constexpr (util::kMetricsEnabled) {
+    EXPECT_GT(InvocationsOf("indexscan"), index_scans_before);
+    EXPECT_GT(InvocationsOf("indexnestedloopjoin"), index_joins_before);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePropertyTest,
                          ::testing::Range(1, 7));
+
+// --- Column resolution over a join ---------------------------------------
+
+// Two tables that share the column name `k`, joined as `ta p, tb q`.
+class JoinColumnResolution : public ::testing::Test {
+ protected:
+  JoinColumnResolution() {
+    CheckOk(catalog_.CreateTable("ta", Schema({{"id", ValueType::kInt},
+                                               {"k", ValueType::kInt}}))
+                .status());
+    CheckOk(catalog_.CreateTable("tb", Schema({{"k", ValueType::kInt},
+                                               {"id", ValueType::kInt},
+                                               {"w", ValueType::kInt}}))
+                .status());
+    tables_.resize(2);
+    tables_[0].ref = TableRef("ta", "p");
+    tables_[1].ref = TableRef("tb", "q");
+    tuple_.slots = {{Value(int64_t(1)), Value(int64_t(10))},
+                    {Value(int64_t(20)), Value(int64_t(1)),
+                     Value(int64_t(30))}};
+    tuple_.rids = {0, 0};
+  }
+
+  Catalog catalog_;
+  std::vector<TablePlan> tables_;
+  ExecTuple tuple_;
+};
+
+TEST_F(JoinColumnResolution, NewestTableFirstAndQualifiers) {
+  PrefixResolver resolver(catalog_, tables_, 1);
+  resolver.Bind(&tuple_, nullptr);
+  const ColumnRef unqualified("k");
+  const ColumnRef by_alias("p", "k");
+  const ColumnRef by_table("ta", "k");
+  const ColumnRef other_alias("q", "k");
+  const ColumnRef only_in_tb("w");
+  // Twice each: the second pass reads the memoised bindings.
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_NE(resolver.Resolve(unqualified), nullptr);
+    EXPECT_EQ(resolver.Resolve(unqualified)->AsInt(), 20) << "newest first";
+    ASSERT_NE(resolver.Resolve(by_alias), nullptr);
+    EXPECT_EQ(resolver.Resolve(by_alias)->AsInt(), 10);
+    ASSERT_NE(resolver.Resolve(by_table), nullptr);
+    EXPECT_EQ(resolver.Resolve(by_table)->AsInt(), 10);
+    ASSERT_NE(resolver.Resolve(other_alias), nullptr);
+    EXPECT_EQ(resolver.Resolve(other_alias)->AsInt(), 20);
+    ASSERT_NE(resolver.Resolve(only_in_tb), nullptr);
+    EXPECT_EQ(resolver.Resolve(only_in_tb)->AsInt(), 30);
+  }
+
+  // Over the prefix [ta] alone the unqualified name falls to ta.
+  PrefixResolver outer_only(catalog_, tables_, 0);
+  outer_only.Bind(&tuple_, nullptr);
+  ASSERT_NE(outer_only.Resolve(unqualified), nullptr);
+  EXPECT_EQ(outer_only.Resolve(unqualified)->AsInt(), 10);
+  EXPECT_EQ(outer_only.Resolve(only_in_tb), nullptr);
+
+  // A name bound to the table being placed reads the candidate row, and
+  // is unbound while no candidate is given (index key binding).
+  ExecTuple outer;
+  outer.slots = {tuple_.slots[0]};
+  outer.rids = {0};
+  PrefixResolver placing(catalog_, tables_, 1);
+  placing.Bind(&outer, nullptr);
+  EXPECT_EQ(placing.Resolve(unqualified), nullptr);
+  placing.Bind(&outer, &tuple_.slots[1]);
+  ASSERT_NE(placing.Resolve(unqualified), nullptr);
+  EXPECT_EQ(placing.Resolve(unqualified)->AsInt(), 20);
+}
+
+TEST_F(JoinColumnResolution, UnknownColumnIsUnbound) {
+  PrefixResolver resolver(catalog_, tables_, 1);
+  resolver.Bind(&tuple_, nullptr);
+  const ColumnRef unknown("nosuch");
+  const ColumnRef wrong_qualifier("r", "k");
+  const ColumnRef wrong_table("p", "w");
+  EXPECT_EQ(resolver.Resolve(unknown), nullptr);
+  EXPECT_EQ(resolver.Resolve(wrong_qualifier), nullptr);
+  EXPECT_EQ(resolver.Resolve(wrong_table), nullptr);
+  const ExprPtr eq =
+      Expr::MakeColCompare(ColumnRef("nosuch"), CompareOp::kEq, Value());
+  const ExprPtr ne = Expr::MakeColCompare(ColumnRef("nosuch"), CompareOp::kNe,
+                                          Value(int64_t(1)));
+  EXPECT_FALSE(EvaluatePredicate(*eq, resolver));
+  EXPECT_FALSE(EvaluatePredicate(*ne, resolver));
+  EXPECT_FALSE(EvaluatePredicate(*Expr::MakeIsNull(
+                                     Expr::MakeColumn(ColumnRef("nosuch"))),
+                                 resolver));
+}
+
+// The same rules end to end: `ta` (3 rows) is placed before `tb` (50
+// rows), so an unqualified `k` in the select list reads tb; an unknown
+// column projects NULL and filters every row out.
+TEST(JoinColumnResolutionEndToEnd, ProjectionAndPredicates) {
+  Database db;
+  db.CreateTable("ta", Schema({{"id", ValueType::kInt},
+                               {"k", ValueType::kInt}}));
+  db.CreateTable("tb", Schema({{"k", ValueType::kInt},
+                               {"id", ValueType::kInt}}));
+  std::vector<Row> ta_rows, tb_rows;
+  for (int64_t i = 0; i < 3; ++i) {
+    ta_rows.push_back({Value(i), Value(100 + i)});
+  }
+  for (int64_t i = 0; i < 50; ++i) {
+    tb_rows.push_back({Value(200 + i), Value(i)});
+  }
+  CheckOk(db.BulkInsert("ta", std::move(ta_rows)));
+  CheckOk(db.BulkInsert("tb", std::move(tb_rows)));
+  db.Analyze();
+
+  auto r = db.Execute(
+      "SELECT p.k, ta.k, q.k, k, nosuch FROM ta p, tb q "
+      "WHERE p.id = q.id AND q.k > 200");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Canonical(r->rows),
+            "101|101|201|201|NULL|\n102|102|202|202|NULL|");
+
+  auto unknown = db.Execute(
+      "SELECT p.k FROM ta p, tb q WHERE p.id = q.id AND nosuch = 1");
+  ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
+  EXPECT_TRUE(unknown->rows.empty());
+}
 
 }  // namespace
 }  // namespace autoindex

@@ -27,31 +27,35 @@ namespace querygen {
 // product, mirroring the executor's qualifier rules (alias or table name).
 class BoundRowResolver : public ColumnResolver {
  public:
+  // `rows` is read at each Resolve, so one resolver serves every tuple
+  // the caller places there.
   BoundRowResolver(const Catalog& catalog,
                    const std::vector<TableRef>& refs,
                    const std::vector<const Row*>& rows)
-      : catalog_(catalog), refs_(refs), rows_(rows) {}
+      : refs_(refs), rows_(rows) {
+    for (const TableRef& ref : refs) {
+      tables_.push_back(catalog.GetTable(ref.table));
+    }
+  }
 
-  bool Resolve(const ColumnRef& col, Value* out) const override {
+  const Value* Resolve(const ColumnRef& col) const override {
     for (size_t i = 0; i < refs_.size(); ++i) {
       if (!col.table.empty() && col.table != refs_[i].alias &&
           col.table != refs_[i].table) {
         continue;
       }
-      const HeapTable* t = catalog_.GetTable(refs_[i].table);
-      if (t == nullptr) continue;
-      const int ord = t->schema().FindColumn(col.column);
+      if (tables_[i] == nullptr) continue;
+      const int ord = tables_[i]->schema().FindColumn(col.column);
       if (ord < 0) continue;
-      *out = (*rows_[i])[static_cast<size_t>(ord)];
-      return true;
+      return &(*rows_[i])[static_cast<size_t>(ord)];
     }
-    return false;
+    return nullptr;
   }
 
  private:
-  const Catalog& catalog_;
   const std::vector<TableRef>& refs_;
   const std::vector<const Row*>& rows_;
+  std::vector<const HeapTable*> tables_;
 };
 
 // Evaluates a SELECT by brute force. Supports the same feature set as the
@@ -73,9 +77,9 @@ inline std::vector<Row> ReferenceSelect(const Database& db,
   // Cartesian product with filtering.
   std::vector<std::vector<const Row*>> matches;
   std::vector<const Row*> current(tables.size());
+  const BoundRowResolver resolver(db.catalog(), stmt.from, current);
   std::function<void(size_t)> rec = [&](size_t level) {
     if (level == tables.size()) {
-      BoundRowResolver resolver(db.catalog(), stmt.from, current);
       if (stmt.where == nullptr ||
           EvaluatePredicate(*stmt.where, resolver)) {
         matches.push_back(current);
@@ -91,9 +95,9 @@ inline std::vector<Row> ReferenceSelect(const Database& db,
 
   auto project = [&](const std::vector<const Row*>& tuple,
                      const ColumnRef& col) {
-    BoundRowResolver resolver(db.catalog(), stmt.from, tuple);
-    Value v;
-    return resolver.Resolve(col, &v) ? v : Value::Null();
+    const BoundRowResolver tuple_resolver(db.catalog(), stmt.from, tuple);
+    const Value* v = tuple_resolver.Resolve(col);
+    return v != nullptr ? *v : Value::Null();
   };
 
   const bool has_agg = std::any_of(
@@ -253,9 +257,17 @@ inline std::string Canonical(std::vector<Row> rows) {
 }
 
 // Deterministic random query generator over t1(a,b,c,s) / t2(x,y).
+// Integer literals are drawn from [0, domain), the range the tables'
+// integer columns are populated from.
 struct GenContext {
   Random rng;
-  explicit GenContext(uint64_t seed) : rng(seed) {}
+  int domain;
+  // LIMIT always comes with an ORDER BY over every output column. Needed
+  // once an index may feed the LIMIT: the rows it keeps then depend on
+  // the access path unless the order is total.
+  bool limit_needs_total_order = false;
+  explicit GenContext(uint64_t seed, int value_domain = 40)
+      : rng(seed), domain(value_domain) {}
 
   std::string RandColumn(bool table2) {
     static const char* t1_cols[] = {"a", "b", "c", "s"};
@@ -271,7 +283,7 @@ struct GenContext {
                        static_cast<int>(rng.Uniform(6)));
     }
     const int pick = static_cast<int>(rng.Uniform(10));
-    const int v = static_cast<int>(rng.Uniform(40));
+    const int v = static_cast<int>(rng.Uniform(domain));
     if (pick < 4) {
       static const char* ops[] = {"=", "<", ">", "<=", ">=", "<>"};
       return StrFormat("%s %s %d", col.c_str(), ops[rng.Uniform(6)], v);
@@ -282,7 +294,7 @@ struct GenContext {
     }
     if (pick < 8) {
       return StrFormat("%s IN (%d, %d, %d)", col.c_str(), v,
-                       (v + 3) % 40, (v + 11) % 40);
+                       (v + 3) % domain, (v + 11) % domain);
     }
     return StrFormat("NOT (%s = %d)", col.c_str(), v);
   }
@@ -306,8 +318,14 @@ struct GenContext {
     }
     if (kind < 5) {
       sql = "SELECT a, b, c FROM t1 WHERE " + RandExpr(2, false);
-      if (rng.Bernoulli(0.3)) sql += " ORDER BY a";
-      if (rng.Bernoulli(0.2)) sql += " LIMIT 7";
+      const bool order_by = rng.Bernoulli(0.3);
+      const bool limit = rng.Bernoulli(0.2);
+      if (limit_needs_total_order) {
+        if (order_by || limit) sql += " ORDER BY a, b, c";
+      } else if (order_by) {
+        sql += " ORDER BY a";
+      }
+      if (limit) sql += " LIMIT 7";
     } else if (kind < 7) {
       sql = "SELECT b, COUNT(*), SUM(a), MIN(c), MAX(a) FROM t1 WHERE " +
             RandExpr(2, false) + " GROUP BY b";
@@ -323,11 +341,21 @@ struct GenContext {
   }
 };
 
+// Sizes of the property-test tables. The defaults are the canonical
+// small tables; larger tables over a wider domain make selective
+// predicates cheap enough through an index for the planner to pick one.
+struct TableShape {
+  int t1_rows = 400;
+  int t2_rows = 60;
+  int domain = 40;  // integer columns are drawn from [0, domain)
+};
+
 // Creates and populates the canonical property-test schema on `db`:
-// t1(a,b,c,s) with 400 rows (ints in [0,40), ~5% null c, s in 'v0'..'v5')
-// and t2(x,y) with 60 rows, then runs ANALYZE. Data is a pure function of
-// `seed`.
-inline void BuildPropertyTestTables(Database* db, uint64_t seed) {
+// t1(a,b,c,s) (ints in [0, domain), ~5% null c, s in 'v0'..'v5') and
+// t2(x,y), then runs ANALYZE. Data is a pure function of `seed` and
+// `shape`.
+inline void BuildPropertyTestTables(Database* db, uint64_t seed,
+                                    const TableShape& shape = {}) {
   db->CreateTable("t1", Schema({{"a", ValueType::kInt},
                                 {"b", ValueType::kInt},
                                 {"c", ValueType::kInt},
@@ -335,19 +363,20 @@ inline void BuildPropertyTestTables(Database* db, uint64_t seed) {
   db->CreateTable("t2", Schema({{"x", ValueType::kInt},
                                 {"y", ValueType::kInt}}));
   Random data_rng(seed * 977 + 13);
+  const int64_t domain = shape.domain;
   std::vector<Row> t1_rows, t2_rows;
-  for (int i = 0; i < 400; ++i) {
-    t1_rows.push_back({Value(data_rng.UniformInt(0, 40)),
-                       Value(data_rng.UniformInt(0, 40)),
+  for (int i = 0; i < shape.t1_rows; ++i) {
+    t1_rows.push_back({Value(data_rng.UniformInt(0, domain)),
+                       Value(data_rng.UniformInt(0, domain)),
                        data_rng.Bernoulli(0.05)
                            ? Value()
-                           : Value(data_rng.UniformInt(0, 40)),
+                           : Value(data_rng.UniformInt(0, domain)),
                        Value(StrFormat("v%d",
                                        static_cast<int>(data_rng.Uniform(6))))});
   }
-  for (int i = 0; i < 60; ++i) {
-    t2_rows.push_back({Value(data_rng.UniformInt(0, 40)),
-                       Value(data_rng.UniformInt(0, 40))});
+  for (int i = 0; i < shape.t2_rows; ++i) {
+    t2_rows.push_back({Value(data_rng.UniformInt(0, domain)),
+                       Value(data_rng.UniformInt(0, domain))});
   }
   CheckOk(db->BulkInsert("t1", std::move(t1_rows)));
   CheckOk(db->BulkInsert("t2", std::move(t2_rows)));

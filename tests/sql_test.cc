@@ -215,11 +215,9 @@ class MapResolver : public ColumnResolver {
  public:
   explicit MapResolver(std::map<std::string, Value> vals)
       : vals_(std::move(vals)) {}
-  bool Resolve(const ColumnRef& col, Value* out) const override {
+  const Value* Resolve(const ColumnRef& col) const override {
     auto it = vals_.find(col.column);
-    if (it == vals_.end()) return false;
-    *out = it->second;
-    return true;
+    return it == vals_.end() ? nullptr : &it->second;
   }
 
  private:
