@@ -202,8 +202,12 @@ if [[ "${FAST}" == "1" ]]; then
   exit 0
 fi
 
-step "sanitizer build (ASan + UBSan, -Werror)"
-cmake -B build-asan -S . \
+step "sanitizer build (ASan + UBSan, -Werror, Debug)"
+# Debug, unlike every other stage (RelWithDebInfo sets NDEBUG): the
+# sanitizer stages are also where the engine's debug assertions run, such
+# as PrefixResolver's check that a memoised ColumnRef was not changed or
+# freed.
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DAUTOINDEX_SANITIZE=address,undefined -DAUTOINDEX_WERROR=ON >/dev/null
 cmake --build build-asan -j "${JOBS}"
 

@@ -4,29 +4,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "engine/planner.h"
 #include "sql/dnf.h"
 #include "util/string_util.h"
 
 namespace autoindex {
 namespace {
-
-// Which FROM entry does this column belong to? Returns the real table name
-// or "" when unresolved.
-std::string TableOfColumn(const ColumnRef& col,
-                          const std::vector<TableRef>& from,
-                          const Catalog& catalog) {
-  if (!col.table.empty()) {
-    for (const TableRef& ref : from) {
-      if (ref.alias == col.table || ref.table == col.table) return ref.table;
-    }
-    return "";
-  }
-  for (const TableRef& ref : from) {
-    const HeapTable* t = catalog.GetTable(ref.table);
-    if (t != nullptr && t->schema().HasColumn(col.column)) return ref.table;
-  }
-  return "";
-}
 
 // The single column an atomic predicate constrains, when it is sargable
 // (column vs literal). Returns false for join atoms and non-column atoms.
@@ -173,8 +156,8 @@ void CandidateGenerator::FromWhere(const Expr* where,
       ColumnRef col;
       bool eq = false;
       if (!AtomColumn(*atom, &col, &eq)) continue;
-      const std::string table = TableOfColumn(col, from, db_->catalog());
-      if (!table.empty()) per_table[table].push_back(atom.get());
+      const int owner = ResolveColumnTable(col, from, db_->catalog());
+      if (owner >= 0) per_table[from[owner].table].push_back(atom.get());
     }
     for (const auto& [table, atoms] : per_table) {
       EmitFromConjunction(table, atoms, out);
@@ -185,15 +168,17 @@ void CandidateGenerator::FromWhere(const Expr* where,
   // join column (Sec. IV-A "Index Generation (2)"). Which side is driven
   // depends on the final join order, so we emit a candidate for each side
   // and let benefit estimation keep the useful one.
-  std::vector<const Expr*> atoms;
   std::vector<DnfConjunction> dnf_for_joins = ToDnf(*where, 8);
   for (const DnfConjunction& conj : dnf_for_joins) {
     for (const ExprPtr& atom : conj) {
       ColumnRef left, right;
       if (!IsJoinAtom(*atom, &left, &right)) continue;
-      const std::string lt = TableOfColumn(left, from, db_->catalog());
-      const std::string rt = TableOfColumn(right, from, db_->catalog());
-      if (lt.empty() || rt.empty() || lt == rt) continue;
+      const int lo = ResolveColumnTable(left, from, db_->catalog());
+      const int ro = ResolveColumnTable(right, from, db_->catalog());
+      if (lo < 0 || ro < 0) continue;
+      const std::string& lt = from[lo].table;
+      const std::string& rt = from[ro].table;
+      if (lt == rt) continue;
       const HeapTable* ltab = db_->catalog().GetTable(lt);
       const HeapTable* rtab = db_->catalog().GetTable(rt);
       if (ltab != nullptr && ltab->num_rows() >= config_.min_table_rows) {
@@ -204,7 +189,6 @@ void CandidateGenerator::FromWhere(const Expr* where,
       }
     }
   }
-  (void)atoms;
 }
 
 void CandidateGenerator::FromSelect(const SelectStatement& stmt,
@@ -217,10 +201,9 @@ void CandidateGenerator::FromSelect(const SelectStatement& stmt,
   auto emit_clause_index = [&](const std::vector<ColumnRef>& cols) {
     std::unordered_map<std::string, std::vector<std::string>> per_table;
     for (const ColumnRef& col : cols) {
-      const std::string table =
-          TableOfColumn(col, stmt.from, db_->catalog());
-      if (table.empty()) continue;
-      per_table[table].push_back(ToLower(col.column));
+      const int owner = ResolveColumnTable(col, stmt.from, db_->catalog());
+      if (owner < 0) continue;
+      per_table[stmt.from[owner].table].push_back(ToLower(col.column));
     }
     for (auto& [table, names] : per_table) {
       const HeapTable* t = db_->catalog().GetTable(table);
@@ -233,9 +216,9 @@ void CandidateGenerator::FromSelect(const SelectStatement& stmt,
     // Effective only when the grouped columns are not already distinct.
     bool effective = false;
     for (const ColumnRef& col : stmt.group_by) {
-      const std::string table =
-          TableOfColumn(col, stmt.from, db_->catalog());
-      if (table.empty()) continue;
+      const int owner = ResolveColumnTable(col, stmt.from, db_->catalog());
+      if (owner < 0) continue;
+      const std::string& table = stmt.from[owner].table;
       const std::shared_ptr<const ColumnStats> cs =
           db_->stats_manager().GetColumnStats(table, col.column);
       const HeapTable* t = db_->catalog().GetTable(table);

@@ -113,7 +113,7 @@ StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
   StatusOr<SelectPlan> plan_or = planner_.PlanSelect(stmt, config);
   if (!plan_or.ok()) return plan_or.status();
   const std::unique_ptr<PhysicalPlan> pplan =
-      LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_, params_);
+      LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_);
   plan_span.End();
 
   ExecResult result;
@@ -134,8 +134,8 @@ StatusOr<std::vector<RowId>> Executor::LookupRows(const std::string& table,
   StatusOr<TablePlan> tp_or =
       planner_.PlanWriteLookup(table, where, BuiltConfig(table));
   if (!tp_or.ok()) return tp_or.status();
-  const std::unique_ptr<PhysicalPlan> pplan = LowerWriteLookup(
-      std::move(*tp_or), where, catalog_, indexes_, params_);
+  const std::unique_ptr<PhysicalPlan> pplan =
+      LowerWriteLookup(std::move(*tp_or), where, catalog_, indexes_);
   plan_span.End();
   std::vector<RowId> out;
   RunPipeline(*pplan, params_, result,

@@ -29,16 +29,16 @@ bool IndexNestedLoopJoinOp::DoNext(ExecTuple* out) {
 // --- HashJoinOp ----------------------------------------------------------
 
 HashJoinOp::HashJoinOp(ExecContext* ctx,
-                       const std::vector<TablePlan>& tables, size_t level,
+                       const SelectPlan& plan, size_t level,
                        std::unique_ptr<PhysicalOperator> outer,
                        std::unique_ptr<SeqScanOp> build,
                        std::vector<std::string> join_cols,
                        std::vector<ColumnRef> join_sources)
-    : JoinOpBase(ctx, tables, level, std::move(outer)),
+    : JoinOpBase(ctx, plan, level, std::move(outer)),
       build_(std::move(build)),
       join_cols_(std::move(join_cols)),
       join_sources_(std::move(join_sources)),
-      table_(ctx->catalog->GetTable(tables[level].ref.table)) {
+      table_(ctx->catalog->GetTable(plan.tables[level].ref.table)) {
   for (const std::string& c : join_cols_) {
     key_ords_.push_back(table_->schema().FindColumn(c));
   }
@@ -66,9 +66,9 @@ bool HashJoinOp::DoNext(ExecTuple* out) {
       if (!outer_->Next(&outer_tuple_)) return false;
       ++stats_.rows_in;
       if (!built_) BuildHashTable();
-      // Resolve the probe key from the outer tuple. Resolution failure is
-      // structural (shadowed unqualified name), uniform across tuples, and
-      // matches the previous executor: no inner rows are produced.
+      // Resolve the probe key from the outer tuple. Join sources are owned
+      // by tables placed earlier, so they bind; an unbound key would be
+      // unbound for every tuple and produce no inner rows.
       resolver_.Bind(&outer_tuple_, nullptr);
       matches_ = nullptr;
       Row probe;

@@ -14,13 +14,13 @@ namespace autoindex {
 // for tables_[level]. Emitted tuples extend the outer tuple by one slot.
 class JoinOpBase : public PhysicalOperator {
  public:
-  JoinOpBase(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  JoinOpBase(ExecContext* ctx, const SelectPlan& plan,
              size_t level, std::unique_ptr<PhysicalOperator> outer)
       : ctx_(ctx),
-        tables_(tables),
+        tables_(plan.tables),
         level_(level),
         outer_(std::move(outer)),
-        resolver_(*ctx->catalog, tables, level) {}
+        resolver_(*ctx->catalog, plan, level) {}
 
   size_t out_width() const override { return level_ + 1; }
   size_t num_children() const override { return 2; }
@@ -51,10 +51,10 @@ class JoinOpBase : public PhysicalOperator {
 class IndexNestedLoopJoinOp : public JoinOpBase {
  public:
   IndexNestedLoopJoinOp(ExecContext* ctx,
-                        const std::vector<TablePlan>& tables, size_t level,
+                        const SelectPlan& plan, size_t level,
                         std::unique_ptr<PhysicalOperator> outer,
                         std::unique_ptr<IndexScanOp> inner)
-      : JoinOpBase(ctx, tables, level, std::move(outer)),
+      : JoinOpBase(ctx, plan, level, std::move(outer)),
         inner_(std::move(inner)) {}
 
   void DoOpen() override { outer_->Open(); }
@@ -79,7 +79,7 @@ class IndexNestedLoopJoinOp : public JoinOpBase {
 // re-checked exactly (hash collisions) via the join conditions.
 class HashJoinOp : public JoinOpBase {
  public:
-  HashJoinOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  HashJoinOp(ExecContext* ctx, const SelectPlan& plan,
              size_t level, std::unique_ptr<PhysicalOperator> outer,
              std::unique_ptr<SeqScanOp> build,
              std::vector<std::string> join_cols,
@@ -116,10 +116,10 @@ class HashJoinOp : public JoinOpBase {
 // filtered inner SeqScan per outer tuple.
 class NestedLoopJoinOp : public JoinOpBase {
  public:
-  NestedLoopJoinOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  NestedLoopJoinOp(ExecContext* ctx, const SelectPlan& plan,
                    size_t level, std::unique_ptr<PhysicalOperator> outer,
                    std::unique_ptr<SeqScanOp> inner)
-      : JoinOpBase(ctx, tables, level, std::move(outer)),
+      : JoinOpBase(ctx, plan, level, std::move(outer)),
         inner_(std::move(inner)) {}
 
   void DoOpen() override { outer_->Open(); }

@@ -13,28 +13,27 @@ namespace {
 
 // True when `col` binds to a table strictly before `level`: its row will
 // be available from the outer tuple at probe time. BindColumn is the same
-// binding the runtime resolver uses, so a reference shadowed by the table
-// being placed is unbindable.
-bool StaticallyBindable(const Catalog& catalog,
-                        const std::vector<TablePlan>& tables, size_t level,
-                        const ColumnRef& col) {
-  const ColumnBinding b = BindColumn(catalog, tables, level, col);
+// binding the runtime resolver uses, so a reference owned by the table
+// being placed (or by a later one) is unbindable.
+bool StaticallyBindable(const Catalog& catalog, const SelectPlan& plan,
+                        size_t level, const ColumnRef& col) {
+  const ColumnBinding b = BindColumn(catalog, plan, level, col);
   return b.bound() && static_cast<size_t>(b.slot) != level;
 }
 
 // Whether every equality column of the chosen index prefix can be bound at
 // probe time — from a literal, or from a statically-resolvable join source.
 // Conditions are tried in extraction order, like IndexScanOp::Rebind.
-bool PrefixBindable(const Catalog& catalog,
-                    const std::vector<TablePlan>& tables, size_t level) {
-  const TablePlan& tp = tables[level];
+bool PrefixBindable(const Catalog& catalog, const SelectPlan& plan,
+                    size_t level) {
+  const TablePlan& tp = plan.tables[level];
   for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
     const std::string& icol = tp.access.index.columns[k];
     bool bound = false;
     for (const ColumnCondition& c : tp.conditions) {
       if (c.column != icol || c.kind != ColumnCondition::kEq) continue;
       if (c.join_source.has_value() &&
-          !StaticallyBindable(catalog, tables, level, *c.join_source)) {
+          !StaticallyBindable(catalog, plan, level, *c.join_source)) {
         continue;
       }
       bound = true;
@@ -66,15 +65,14 @@ void NoteIndexUse(BuiltIndex* bi, PhysicalPlan* pp,
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
-                                          IndexManager* indexes,
-                                          const CostParams& params) {
-  (void)params;
+                                          IndexManager* indexes) {
   auto pp = std::make_unique<PhysicalPlan>();
   pp->logical = std::move(plan);
   pp->ctx = std::make_unique<ExecContext>();
   pp->ctx->catalog = catalog;
   ExecContext* ctx = pp->ctx.get();
-  const std::vector<TablePlan>& tables = pp->logical.tables;
+  const SelectPlan& logical = pp->logical;
+  const std::vector<TablePlan>& tables = logical.tables;
 
   std::unordered_set<std::string> seen_indexes;
   std::unique_ptr<PhysicalOperator> root;
@@ -85,15 +83,15 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
     BuiltIndex* bi = FindBuiltIndex(indexes, tp);
     if (bi != nullptr) NoteIndexUse(bi, pp.get(), &seen_indexes);
     const bool index_bindable =
-        bi != nullptr && PrefixBindable(*catalog, tables, level);
+        bi != nullptr && PrefixBindable(*catalog, logical, level);
 
     if (level == 0) {
       if (index_bindable) {
-        auto scan = std::make_unique<IndexScanOp>(ctx, tables, 0, bi);
+        auto scan = std::make_unique<IndexScanOp>(ctx, logical, 0, bi);
         scan->set_estimates(tp.access.est_rows, tp.access.est_cost);
         root = std::move(scan);
       } else {
-        auto scan = std::make_unique<SeqScanOp>(ctx, tables, 0);
+        auto scan = std::make_unique<SeqScanOp>(ctx, logical, 0);
         scan->set_estimates(tp.access.est_rows, tp.access.est_cost);
         root = std::move(scan);
       }
@@ -105,16 +103,16 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
         outer_est_rows * std::max(tp.access.est_match_rows, 0.0);
     const double join_est_cost = root->est_cost() + tp.access.est_cost;
     if (index_bindable) {
-      auto inner = std::make_unique<IndexScanOp>(ctx, tables, level, bi);
+      auto inner = std::make_unique<IndexScanOp>(ctx, logical, level, bi);
       inner->set_estimates(tp.access.est_match_rows, tp.access.est_cost);
       auto join = std::make_unique<IndexNestedLoopJoinOp>(
-          ctx, tables, level, std::move(root), std::move(inner));
+          ctx, logical, level, std::move(root), std::move(inner));
       join->set_estimates(join_est_rows, join_est_cost);
       root = std::move(join);
     } else {
-      // The planner's index pick may be unbindable at runtime (shadowed
-      // join source); degrade to the hash/cartesian paths like the old
-      // executor's fall-through did.
+      // No index whose key prefix binds from the outer tuple: hash join on
+      // the equality join conditions, or a cartesian nested loop when
+      // there are none.
       std::vector<std::string> join_cols;
       std::vector<ColumnRef> join_sources;
       for (const ColumnCondition& c : tp.conditions) {
@@ -123,17 +121,17 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
           join_sources.push_back(*c.join_source);
         }
       }
-      auto inner = std::make_unique<SeqScanOp>(ctx, tables, level);
+      auto inner = std::make_unique<SeqScanOp>(ctx, logical, level);
       inner->set_estimates(tp.access.est_rows, tp.access.est_cost);
       if (!join_cols.empty()) {
         auto join = std::make_unique<HashJoinOp>(
-            ctx, tables, level, std::move(root), std::move(inner),
+            ctx, logical, level, std::move(root), std::move(inner),
             std::move(join_cols), std::move(join_sources));
         join->set_estimates(join_est_rows, join_est_cost);
         root = std::move(join);
       } else {
         auto join = std::make_unique<NestedLoopJoinOp>(
-            ctx, tables, level, std::move(root), std::move(inner));
+            ctx, logical, level, std::move(root), std::move(inner));
         join->set_estimates(outer_est_rows * tp.access.est_rows,
                             join_est_cost);
         root = std::move(join);
@@ -143,10 +141,10 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
   }
 
   if (stmt.where != nullptr) {
-    auto filter = std::make_unique<FilterOp>(ctx, tables, stmt.where.get(),
+    auto filter = std::make_unique<FilterOp>(ctx, logical, stmt.where.get(),
                                              std::move(root));
-    filter->set_estimates(pp->logical.est_result_rows,
-                          pp->logical.est_total_cost);
+    filter->set_estimates(logical.est_result_rows,
+                          logical.est_total_cost);
     root = std::move(filter);
   }
 
@@ -157,9 +155,9 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
 
   if (has_agg) {
     auto agg = std::make_unique<HashAggregateOp>(
-        ctx, tables, &stmt.items, &stmt.group_by, std::move(root));
-    agg->set_estimates(pp->logical.est_result_rows,
-                       pp->logical.est_total_cost);
+        ctx, logical, &stmt.items, &stmt.group_by, std::move(root));
+    agg->set_estimates(logical.est_result_rows,
+                       logical.est_total_cost);
     root = std::move(agg);
     if (!stmt.order_by.empty()) {
       // ORDER BY over grouped output: match order columns to select items
@@ -175,10 +173,10 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
         }
       }
       auto sort = std::make_unique<SortOp>(
-          ctx, tables, &stmt.order_by, std::move(slot_keys),
+          ctx, logical, &stmt.order_by, std::move(slot_keys),
           SortOp::Mode::kSlotKeys, std::move(root));
-      sort->set_estimates(pp->logical.est_result_rows,
-                          pp->logical.est_total_cost);
+      sort->set_estimates(logical.est_result_rows,
+                          logical.est_total_cost);
       root = std::move(sort);
     }
     if (stmt.limit >= 0) {
@@ -186,17 +184,17 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
           std::min(static_cast<double>(stmt.limit), root->est_rows());
       auto limit = std::make_unique<LimitOp>(
           static_cast<size_t>(stmt.limit), std::move(root));
-      limit->set_estimates(capped, pp->logical.est_total_cost);
+      limit->set_estimates(capped, logical.est_total_cost);
       root = std::move(limit);
     }
   } else {
     if (!stmt.order_by.empty()) {
-      auto sort = std::make_unique<SortOp>(ctx, tables, &stmt.order_by,
+      auto sort = std::make_unique<SortOp>(ctx, logical, &stmt.order_by,
                                            std::vector<std::pair<int, bool>>{},
                                            SortOp::Mode::kTupleKeys,
                                            std::move(root));
-      sort->set_estimates(pp->logical.est_result_rows,
-                          pp->logical.est_total_cost);
+      sort->set_estimates(logical.est_result_rows,
+                          logical.est_total_cost);
       root = std::move(sort);
     }
     if (stmt.limit >= 0) {
@@ -204,13 +202,13 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
           std::min(static_cast<double>(stmt.limit), root->est_rows());
       auto limit = std::make_unique<LimitOp>(
           static_cast<size_t>(stmt.limit), std::move(root));
-      limit->set_estimates(capped, pp->logical.est_total_cost);
+      limit->set_estimates(capped, logical.est_total_cost);
       root = std::move(limit);
     }
-    auto project = std::make_unique<ProjectOp>(ctx, tables, &stmt.items,
+    auto project = std::make_unique<ProjectOp>(ctx, logical, &stmt.items,
                                                std::move(root));
-    project->set_estimates(pp->logical.est_result_rows,
-                           pp->logical.est_total_cost);
+    project->set_estimates(logical.est_result_rows,
+                           logical.est_total_cost);
     root = std::move(project);
   }
 
@@ -221,18 +219,17 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
 std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,
-                                               IndexManager* indexes,
-                                               const CostParams& params) {
-  (void)params;
+                                               IndexManager* indexes) {
   auto pp = std::make_unique<PhysicalPlan>();
+  pp->logical.from.push_back(tp.ref);
   pp->logical.tables.push_back(std::move(tp));
   pp->logical.est_result_rows = pp->logical.tables[0].access.est_rows;
   pp->logical.est_total_cost = pp->logical.tables[0].access.est_cost;
   pp->ctx = std::make_unique<ExecContext>();
   pp->ctx->catalog = catalog;
   ExecContext* ctx = pp->ctx.get();
-  const std::vector<TablePlan>& tables = pp->logical.tables;
-  const TablePlan& t0 = tables[0];
+  const SelectPlan& logical = pp->logical;
+  const TablePlan& t0 = logical.tables[0];
 
   BuiltIndex* bi = FindBuiltIndex(indexes, t0);
   std::unique_ptr<PhysicalOperator> root;
@@ -241,17 +238,17 @@ std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
   if (bi != nullptr && t0.access.eq_prefix_len > 0) {
     std::unordered_set<std::string> seen;
     NoteIndexUse(bi, pp.get(), &seen);
-    auto scan = std::make_unique<IndexScanOp>(ctx, tables, 0, bi);
+    auto scan = std::make_unique<IndexScanOp>(ctx, logical, 0, bi);
     scan->set_estimates(t0.access.est_rows, t0.access.est_cost);
     root = std::move(scan);
   } else {
-    auto scan = std::make_unique<SeqScanOp>(ctx, tables, 0);
+    auto scan = std::make_unique<SeqScanOp>(ctx, logical, 0);
     scan->set_estimates(t0.access.est_rows, t0.access.est_cost);
     root = std::move(scan);
   }
   if (where != nullptr) {
     auto filter =
-        std::make_unique<FilterOp>(ctx, tables, where, std::move(root));
+        std::make_unique<FilterOp>(ctx, logical, where, std::move(root));
     filter->set_estimates(t0.access.est_rows, t0.access.est_cost);
     root = std::move(filter);
   }

@@ -11,7 +11,7 @@ namespace autoindex {
 
 // An executable physical plan: the operator tree plus the state it borrows.
 // The logical plan is owned here because operators keep references into
-// `logical.tables` (conditions, access decisions) for their lifetime.
+// it (FROM list, conditions, access decisions) for their lifetime.
 struct PhysicalPlan {
   SelectPlan logical;
   std::unique_ptr<ExecContext> ctx;
@@ -37,8 +37,7 @@ struct PhysicalPlan {
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
-                                          IndexManager* indexes,
-                                          const CostParams& params);
+                                          IndexManager* indexes);
 
 // Lowers the row-location part of UPDATE/DELETE: a single scan (index when
 // the planner found a usable equality prefix) under an optional Filter with
@@ -46,7 +45,6 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
 std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,
-                                               IndexManager* indexes,
-                                               const CostParams& params);
+                                               IndexManager* indexes);
 
 }  // namespace autoindex

@@ -56,20 +56,14 @@ void PhysicalOperator::Close() {
   }
 }
 
-ColumnBinding BindColumn(const Catalog& catalog,
-                         const std::vector<TablePlan>& tables, size_t level,
-                         const ColumnRef& col) {
-  for (size_t i = level + 1; i > 0; --i) {
-    const TableRef& ref = tables[i - 1].ref;
-    if (!col.table.empty() && col.table != ref.alias &&
-        col.table != ref.table) {
-      continue;
+ColumnBinding BindColumn(const Catalog& catalog, const SelectPlan& plan,
+                         size_t level, const ColumnRef& col) {
+  int ordinal = -1;
+  const int owner = ResolveColumnTable(col, plan.from, catalog, &ordinal);
+  for (size_t i = 0; owner >= 0 && i <= level; ++i) {
+    if (plan.tables[i].from_index == static_cast<size_t>(owner)) {
+      return {static_cast<int>(i), ordinal};
     }
-    const HeapTable* t = catalog.GetTable(ref.table);
-    if (t == nullptr) continue;
-    const int ord = t->schema().FindColumn(col.column);
-    if (ord < 0) continue;
-    return {static_cast<int>(i - 1), ord};
   }
   return {};
 }
@@ -85,7 +79,7 @@ ColumnBinding PrefixResolver::BindingOf(const ColumnRef& col) const {
   }
   MemoEntry entry;
   entry.ref = &col;
-  entry.binding = BindColumn(catalog_, tables_, level_, col);
+  entry.binding = BindColumn(catalog_, plan_, level_, col);
 #ifndef NDEBUG
   entry.bound_as = col;
 #endif

@@ -88,25 +88,25 @@ void AccumulateOperatorCounters(const PlanNodeSnapshot& node,
 
 // Where a column reference reads its value: the tuple slot of the table
 // that owns it and the column's ordinal in that table's rows. An unbound
-// reference (no table of the prefix has the column) reads as "unbound":
-// predicates over it are false, projections of it give NULL.
+// reference (no FROM entry owns the column, or its owner is not placed at
+// the resolver's level) reads as "unbound": predicates over it are false,
+// projections of it give NULL.
 struct ColumnBinding {
   int slot = -1;
   int ordinal = -1;
   bool bound() const { return slot >= 0; }
 };
 
-// Binds `col` over the join prefix tables[0..level]. The walk is newest
-// table first, so an unqualified name shadows exactly as in a nested-loop
-// evaluation over the join order; a qualifier matches the table's alias
-// or its real name. The first table whose schema has the column wins.
-ColumnBinding BindColumn(const Catalog& catalog,
-                         const std::vector<TablePlan>& tables, size_t level,
-                         const ColumnRef& col);
+// Binds `col` over the join prefix plan.tables[0..level]: the owner is the
+// FROM entry ResolveColumnTable picks (the same for every operator and
+// every join order), and the slot is that entry's position in the join
+// order. An owner placed after `level` leaves the column unbound there.
+ColumnBinding BindColumn(const Catalog& catalog, const SelectPlan& plan,
+                         size_t level, const ColumnRef& col);
 
-// Resolves columns over the join prefix tables[0..level]: rows come from a
-// partially-built outer tuple plus an optional candidate row for the table
-// being placed (null while binding index key prefixes).
+// Resolves columns over the join prefix plan.tables[0..level]: rows come
+// from a partially-built outer tuple plus an optional candidate row for the
+// table being placed (null while binding index key prefixes).
 //
 // Each reference is bound (BindColumn: catalog lookup, name lowering,
 // schema probe) the first time this resolver sees it, and the binding is
@@ -122,13 +122,12 @@ ColumnBinding BindColumn(const Catalog& catalog,
 // same table and column.
 class PrefixResolver : public ColumnResolver {
  public:
-  PrefixResolver(const Catalog& catalog, const std::vector<TablePlan>& tables,
-                 size_t level)
-      : catalog_(catalog), tables_(tables), level_(level) {}
+  PrefixResolver(const Catalog& catalog, const SelectPlan& plan, size_t level)
+      : catalog_(catalog), plan_(plan), level_(level) {}
 
   // `outer` supplies rows for tables [0, outer->slots.size()); `top` (may
-  // be null) stands in for tables_[level]. When `outer` already carries a
-  // row for every level (a complete tuple), `top` is ignored.
+  // be null) stands in for plan.tables[level]. When `outer` already carries
+  // a row for every level (a complete tuple), `top` is ignored.
   void Bind(const ExecTuple* outer, const Row* top) {
     outer_ = outer;
     top_ = top;
@@ -160,7 +159,7 @@ class PrefixResolver : public ColumnResolver {
   ColumnBinding BindingOf(const ColumnRef& col) const;
 
   const Catalog& catalog_;
-  const std::vector<TablePlan>& tables_;
+  const SelectPlan& plan_;
   size_t level_;
   const ExecTuple* outer_ = nullptr;
   const Row* top_ = nullptr;

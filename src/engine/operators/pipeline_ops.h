@@ -29,11 +29,11 @@ class UnaryOpBase : public PhysicalOperator {
 // cross-table predicates the per-level pruning could not evaluate.
 class FilterOp : public UnaryOpBase {
  public:
-  FilterOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  FilterOp(ExecContext* ctx, const SelectPlan& plan,
            const Expr* predicate, std::unique_ptr<PhysicalOperator> child)
       : UnaryOpBase(std::move(child)),
         predicate_(predicate),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+        resolver_(*ctx->catalog, plan, plan.tables.size() - 1) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -47,16 +47,16 @@ class FilterOp : public UnaryOpBase {
 };
 
 // Projects joined tuples to output rows (star expansion in join order,
-// columns resolved newest-table-first — the engine's historical
-// semantics). Emits single-slot derived rows.
+// columns bound to their owning table by BindColumn). Emits single-slot
+// derived rows.
 class ProjectOp : public UnaryOpBase {
  public:
-  ProjectOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  ProjectOp(ExecContext* ctx, const SelectPlan& plan,
             const std::vector<SelectItem>* items,
             std::unique_ptr<PhysicalOperator> child)
       : UnaryOpBase(std::move(child)),
         items_(items),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+        resolver_(*ctx->catalog, plan, plan.tables.size() - 1) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -79,7 +79,7 @@ class SortOp : public UnaryOpBase {
  public:
   enum class Mode { kTupleKeys, kSlotKeys };
 
-  SortOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  SortOp(ExecContext* ctx, const SelectPlan& plan,
          const std::vector<OrderByItem>* order_by,
          std::vector<std::pair<int, bool>> slot_keys, Mode mode,
          std::unique_ptr<PhysicalOperator> child)
@@ -87,7 +87,7 @@ class SortOp : public UnaryOpBase {
         order_by_(order_by),
         slot_keys_(std::move(slot_keys)),
         mode_(mode),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+        resolver_(*ctx->catalog, plan, plan.tables.size() - 1) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -137,14 +137,14 @@ class LimitOp : public UnaryOpBase {
 // single-slot output rows; counts its group build into sort_rows.
 class HashAggregateOp : public UnaryOpBase {
  public:
-  HashAggregateOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
+  HashAggregateOp(ExecContext* ctx, const SelectPlan& plan,
                   const std::vector<SelectItem>* items,
                   const std::vector<ColumnRef>* group_by,
                   std::unique_ptr<PhysicalOperator> child)
       : UnaryOpBase(std::move(child)),
         items_(items),
         group_by_(group_by),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+        resolver_(*ctx->catalog, plan, plan.tables.size() - 1) {}
 
   bool DoNext(ExecTuple* out) override;
 

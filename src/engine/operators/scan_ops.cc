@@ -23,13 +23,12 @@ std::vector<const ColumnCondition*> EqConditionsOn(
 
 // --- SeqScanOp -----------------------------------------------------------
 
-SeqScanOp::SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-                     size_t level)
+SeqScanOp::SeqScanOp(ExecContext* ctx, const SelectPlan& plan, size_t level)
     : ctx_(ctx),
-      tables_(tables),
+      tables_(plan.tables),
       level_(level),
-      table_(ctx->catalog->GetTable(tables[level].ref.table)),
-      resolver_(*ctx->catalog, tables, level) {}
+      table_(ctx->catalog->GetTable(plan.tables[level].ref.table)),
+      resolver_(*ctx->catalog, plan, level) {}
 
 void SeqScanOp::EnsureMaterialized() {
   if (materialized_done_) return;
@@ -79,18 +78,18 @@ void SeqScanOp::AppendFeedback(const CostParams& params,
 // --- IndexScanOp ---------------------------------------------------------
 
 IndexScanOp::IndexScanOp(ExecContext* ctx,
-                         const std::vector<TablePlan>& tables, size_t level,
+                         const SelectPlan& plan, size_t level,
                          const BuiltIndex* index)
     : ctx_(ctx),
-      tables_(tables),
+      tables_(plan.tables),
       level_(level),
-      table_(ctx->catalog->GetTable(tables[level].ref.table)),
+      table_(ctx->catalog->GetTable(plan.tables[level].ref.table)),
       index_(index),
-      resolver_(*ctx->catalog, tables, level),
+      resolver_(*ctx->catalog, plan, level),
       page_key_salt_(std::hash<std::string>()(table_->name()) << 1) {
   // Which conditions feed each key column is fixed by the plan; only the
   // join-bound values change between probes.
-  const TablePlan& tp = tables[level];
+  const TablePlan& tp = plan.tables[level];
   const std::vector<std::string>& columns = tp.access.index.columns;
   for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
     eq_keys_.push_back(EqConditionsOn(tp.conditions, columns[k]));

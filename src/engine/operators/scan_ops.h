@@ -15,8 +15,7 @@ namespace autoindex {
 // emission, materialization counters are paid once).
 class SeqScanOp : public PhysicalOperator {
  public:
-  SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-            size_t level);
+  SeqScanOp(ExecContext* ctx, const SelectPlan& plan, size_t level);
 
   void DoOpen() override {}
   bool DoNext(ExecTuple* out) override;
@@ -51,8 +50,8 @@ class SeqScanOp : public PhysicalOperator {
 // tuple. Heap pages are deduplicated query-wide through the ExecContext.
 class IndexScanOp : public PhysicalOperator {
  public:
-  IndexScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-              size_t level, const BuiltIndex* index);
+  IndexScanOp(ExecContext* ctx, const SelectPlan& plan, size_t level,
+              const BuiltIndex* index);
 
   void DoOpen() override;
   bool DoNext(ExecTuple* out) override;

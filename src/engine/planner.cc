@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "sql/dnf.h"
 #include "util/string_util.h"
@@ -11,42 +10,25 @@ namespace autoindex {
 
 int ResolveColumnTable(const ColumnRef& col,
                        const std::vector<TableRef>& from,
-                       const Catalog& catalog) {
-  if (!col.table.empty()) {
-    for (size_t i = 0; i < from.size(); ++i) {
-      if (from[i].alias == col.table || from[i].table == col.table) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-  int found = -1;
+                       const Catalog& catalog, int* ordinal) {
   for (size_t i = 0; i < from.size(); ++i) {
-    const HeapTable* t = catalog.GetTable(from[i].table);
-    if (t != nullptr && t->schema().HasColumn(col.column)) {
-      if (found >= 0) return found;  // ambiguous: first match wins
-      found = static_cast<int>(i);
+    if (!col.table.empty() && col.table != from[i].alias &&
+        col.table != from[i].table) {
+      continue;
     }
+    const HeapTable* t = catalog.GetTable(from[i].table);
+    const int ord = t == nullptr ? -1 : t->schema().FindColumn(col.column);
+    if (ord < 0) continue;
+    if (ordinal != nullptr) *ordinal = ord;
+    return static_cast<int>(i);
   }
-  return found;
+  return -1;
 }
 
-namespace {
-
-// True when `col` belongs to (table, alias) in the current FROM scope.
-bool ColTargets(const ColumnRef& col, const std::string& table,
-                const std::string& alias, const Catalog& catalog) {
-  if (!col.table.empty()) return col.table == alias || col.table == table;
-  const HeapTable* t = catalog.GetTable(table);
-  return t != nullptr && t->schema().HasColumn(col.column);
-}
-
-}  // namespace
-
-std::vector<ColumnCondition> Planner::ExtractConditions(
-    const Expr* where, const std::string& table, const std::string& alias,
-    const std::vector<TableRef>& earlier) const {
-  std::vector<ColumnCondition> conditions;
+std::vector<std::vector<ColumnCondition>> Planner::ExtractConditions(
+    const Expr* where, const std::vector<TableRef>& from,
+    const std::vector<bool>& placed) const {
+  std::vector<std::vector<ColumnCondition>> conditions(from.size());
   if (where == nullptr) return conditions;
   std::vector<const Expr*> atoms;
   if (!ExtractConjunctionAtoms(*where, &atoms)) {
@@ -55,43 +37,46 @@ std::vector<ColumnCondition> Planner::ExtractConditions(
     // ORs — this only affects access-path choice.)
     return conditions;
   }
-  // Does this column belong to one of the already-placed tables? Qualified
-  // names match on alias/table; unqualified names are resolved by probing
-  // the earlier tables' schemas.
-  auto is_earlier = [&](const ColumnRef& col) {
-    for (const TableRef& ref : earlier) {
-      if (!col.table.empty()) {
-        if (col.table == ref.alias || col.table == ref.table) return true;
-        continue;
-      }
-      const HeapTable* t = catalog_->GetTable(ref.table);
-      if (t != nullptr && t->schema().HasColumn(col.column)) return true;
-    }
-    return false;
+  auto owner = [&](const ColumnRef& col) {
+    return ResolveColumnTable(col, from, *catalog_);
+  };
+  // -1 (no owner) is neither placed nor unplaced.
+  auto is_placed = [&](int table) {
+    return table >= 0 && placed[static_cast<size_t>(table)];
+  };
+  auto is_unplaced = [&](int table) {
+    return table >= 0 && !placed[static_cast<size_t>(table)];
+  };
+  // The conditions of `col`'s owner, or null when the column is unbound or
+  // its owner already placed.
+  auto conditions_of = [&](const ColumnRef& col) {
+    const int table = owner(col);
+    return is_unplaced(table) ? &conditions[static_cast<size_t>(table)]
+                              : nullptr;
+  };
+  auto add_join = [&](int table, const ColumnRef& col,
+                      const ColumnRef& source, const Expr* atom) {
+    ColumnCondition c;
+    c.column = col.column;
+    c.kind = ColumnCondition::kEq;
+    c.join_source = source;
+    c.atom = atom;
+    conditions[static_cast<size_t>(table)].push_back(std::move(c));
   };
   for (const Expr* atom : atoms) {
     if (atom->kind == ExprKind::kCompare) {
       const Expr& lhs = *atom->children[0];
       const Expr& rhs = *atom->children[1];
-      // column-column equality spanning tables -> join condition.
+      // column = column with one side owned by a placed table -> join
+      // condition of the other side's (unplaced) owner.
       if (lhs.kind == ExprKind::kColumn && rhs.kind == ExprKind::kColumn &&
           atom->op == CompareOp::kEq) {
-        const bool lhs_here = ColTargets(lhs.column, table, alias, *catalog_);
-        const bool rhs_here = ColTargets(rhs.column, table, alias, *catalog_);
-        if (lhs_here && is_earlier(rhs.column)) {
-          ColumnCondition c;
-          c.column = lhs.column.column;
-          c.kind = ColumnCondition::kEq;
-          c.join_source = rhs.column;
-          c.atom = atom;
-          conditions.push_back(std::move(c));
-        } else if (rhs_here && is_earlier(lhs.column)) {
-          ColumnCondition c;
-          c.column = rhs.column.column;
-          c.kind = ColumnCondition::kEq;
-          c.join_source = lhs.column;
-          c.atom = atom;
-          conditions.push_back(std::move(c));
+        const int lo = owner(lhs.column);
+        const int ro = owner(rhs.column);
+        if (is_unplaced(lo) && is_placed(ro)) {
+          add_join(lo, lhs.column, rhs.column, atom);
+        } else if (is_unplaced(ro) && is_placed(lo)) {
+          add_join(ro, rhs.column, lhs.column, atom);
         }
         continue;
       }
@@ -110,12 +95,8 @@ std::vector<ColumnCondition> Planner::ExtractConditions(
       } else {
         continue;
       }
-      if (!ColTargets(col_side->column, table, alias, *catalog_)) continue;
-      if (!col_side->column.table.empty() &&
-          col_side->column.table != alias &&
-          col_side->column.table != table) {
-        continue;
-      }
+      std::vector<ColumnCondition>* out = conditions_of(col_side->column);
+      if (out == nullptr) continue;
       ColumnCondition c;
       c.column = col_side->column.column;
       c.literal = lit_side->literal;
@@ -144,33 +125,35 @@ std::vector<ColumnCondition> Planner::ExtractConditions(
           c.kind = ColumnCondition::kOther;
           break;
       }
-      conditions.push_back(std::move(c));
+      out->push_back(std::move(c));
     } else if (atom->kind == ExprKind::kBetween &&
                atom->children[0]->kind == ExprKind::kColumn) {
       const ColumnRef& col = atom->children[0]->column;
-      if (!ColTargets(col, table, alias, *catalog_)) continue;
+      std::vector<ColumnCondition>* out = conditions_of(col);
+      if (out == nullptr) continue;
       ColumnCondition lo;
       lo.column = col.column;
       lo.kind = ColumnCondition::kRangeLo;
       lo.literal = atom->children[1]->literal;
       lo.atom = atom;
-      conditions.push_back(std::move(lo));
+      out->push_back(std::move(lo));
       ColumnCondition hi;
       hi.column = col.column;
       hi.kind = ColumnCondition::kRangeHi;
       hi.literal = atom->children[2]->literal;
       hi.atom = atom;
-      conditions.push_back(std::move(hi));
+      out->push_back(std::move(hi));
     } else if (atom->kind == ExprKind::kInList && !atom->negated &&
                atom->children[0]->kind == ExprKind::kColumn) {
       const ColumnRef& col = atom->children[0]->column;
-      if (!ColTargets(col, table, alias, *catalog_)) continue;
+      std::vector<ColumnCondition>* out = conditions_of(col);
+      if (out == nullptr) continue;
       ColumnCondition c;
       c.column = col.column;
       c.kind = ColumnCondition::kIn;
       c.in_values = atom->in_list;
       c.atom = atom;
-      conditions.push_back(std::move(c));
+      out->push_back(std::move(c));
     }
   }
   return conditions;
@@ -227,10 +210,9 @@ double Planner::EstimateHeapFetchPages(const std::string& table,
 }
 
 AccessDecision Planner::ChooseAccessPath(
-    const std::string& table, const std::string& alias,
+    const std::string& table,
     const std::vector<ColumnCondition>& conditions,
     const std::vector<IndexStatsView>& table_indexes) const {
-  (void)alias;
   const HeapTable* t = catalog_->GetTable(table);
   AccessDecision best;
   const double table_rows =
@@ -350,18 +332,19 @@ StatusOr<SelectPlan> Planner::PlanSelect(
   // smallest estimated cardinality among those connected to the placed set
   // (or any table when none is connected yet / first pick).
   const size_t n = stmt.from.size();
+  plan.from = stmt.from;
   std::vector<bool> placed(n, false);
-  std::vector<TableRef> earlier;
   for (size_t step = 0; step < n; ++step) {
     int best_idx = -1;
     double best_card = 0.0;
     bool best_connected = false;
     std::vector<ColumnCondition> best_conditions;
+    std::vector<std::vector<ColumnCondition>> conditions =
+        ExtractConditions(stmt.where.get(), stmt.from, placed);
     for (size_t i = 0; i < n; ++i) {
       if (placed[i]) continue;
       const TableRef& ref = stmt.from[i];
-      std::vector<ColumnCondition> conds = ExtractConditions(
-          stmt.where.get(), ref.table, ref.alias, earlier);
+      std::vector<ColumnCondition>& conds = conditions[i];
       bool connected = false;
       double sel = 1.0;
       for (const ColumnCondition& c : conds) {
@@ -372,6 +355,8 @@ StatusOr<SelectPlan> Planner::PlanSelect(
       const double card = std::max(1.0, t->num_rows() * sel);
       // Prefer connected tables after the first placement to avoid
       // cartesian products; among candidates pick the smallest output.
+      // The first unplaced table is always a candidate, so a disconnected
+      // remainder is joined in FROM order.
       const bool better =
           best_idx < 0 ||
           (connected && !best_connected) ||
@@ -383,30 +368,17 @@ StatusOr<SelectPlan> Planner::PlanSelect(
         best_conditions = std::move(conds);
       }
     }
-    if (best_idx < 0) {
-      // Disconnected remainder: pick the smallest-cardinality table.
-      for (size_t i = 0; i < n; ++i) {
-        if (!placed[i]) {
-          best_idx = static_cast<int>(i);
-          best_conditions = ExtractConditions(stmt.where.get(),
-                                              stmt.from[i].table,
-                                              stmt.from[i].alias, earlier);
-          break;
-        }
-      }
-    }
     placed[best_idx] = true;
     TablePlan tp;
     tp.ref = stmt.from[best_idx];
+    tp.from_index = static_cast<size_t>(best_idx);
     tp.conditions = std::move(best_conditions);
     // Index config entries for this table.
     std::vector<IndexStatsView> table_indexes;
     for (const IndexStatsView& v : config) {
       if (v.def.table == tp.ref.table) table_indexes.push_back(v);
     }
-    tp.access = ChooseAccessPath(tp.ref.table, tp.ref.alias, tp.conditions,
-                                 table_indexes);
-    earlier.push_back(tp.ref);
+    tp.access = ChooseAccessPath(tp.ref.table, tp.conditions, table_indexes);
     plan.tables.push_back(std::move(tp));
   }
 
@@ -462,12 +434,12 @@ StatusOr<TablePlan> Planner::PlanWriteLookup(
   }
   TablePlan tp;
   tp.ref = TableRef(table);
-  tp.conditions = ExtractConditions(where, table, table, {});
+  tp.conditions = std::move(ExtractConditions(where, {tp.ref}, {false})[0]);
   std::vector<IndexStatsView> table_indexes;
   for (const IndexStatsView& v : config) {
     if (v.def.table == ToLower(table)) table_indexes.push_back(v);
   }
-  tp.access = ChooseAccessPath(table, table, tp.conditions, table_indexes);
+  tp.access = ChooseAccessPath(table, tp.conditions, table_indexes);
   return tp;
 }
 

@@ -12,8 +12,9 @@
 namespace autoindex {
 
 // One atomic condition on a column of a specific table, extracted from the
-// WHERE conjunction. `join_source` marks equality with a column of a table
-// earlier in the join order (the value becomes known per outer tuple).
+// WHERE conjunction. `join_source` marks equality with a column owned by a
+// table earlier in the join order (the value becomes known per outer
+// tuple).
 struct ColumnCondition {
   std::string column;
   enum Kind { kEq, kRangeLo, kRangeHi, kIn, kOther } kind = kOther;
@@ -38,12 +39,16 @@ struct AccessDecision {
 // Per-table information the planner derives for a SELECT.
 struct TablePlan {
   TableRef ref;
+  size_t from_index = 0;  // position of `ref` in the statement's FROM list
   std::vector<ColumnCondition> conditions;  // all table-local conditions
   AccessDecision access;
 };
 
-// A left-deep plan over the FROM list (joined in `tables` order).
+// A left-deep plan over the FROM list (joined in `tables` order). `from`
+// keeps the FROM order, which decides column ownership
+// (ResolveColumnTable).
 struct SelectPlan {
+  std::vector<TableRef> from;
   std::vector<TablePlan> tables;
   double est_total_cost = 0.0;
   double est_result_rows = 0.0;
@@ -73,17 +78,19 @@ class Planner {
 
   // Chooses the cheapest access path for one table given its conditions.
   AccessDecision ChooseAccessPath(
-      const std::string& table, const std::string& alias,
+      const std::string& table,
       const std::vector<ColumnCondition>& conditions,
       const std::vector<IndexStatsView>& table_indexes) const;
 
-  // Extracts table-local conditions for `alias` out of a WHERE conjunction.
-  // Atoms whose columns belong to other tables are skipped; equality atoms
-  // with a column of a table in `earlier` (matched by qualifier, or by
-  // probing schemas for unqualified names) become join conditions.
-  std::vector<ColumnCondition> ExtractConditions(
-      const Expr* where, const std::string& table, const std::string& alias,
-      const std::vector<TableRef>& earlier) const;
+  // Splits a WHERE conjunction into per-table conditions, indexed like
+  // `from`: each atom goes to the table that owns its column
+  // (ResolveColumnTable). `placed[i]` marks from[i] as already in the join
+  // order; placed tables get no conditions, and a column equality becomes
+  // a join condition of the unplaced side when the other side's owner is
+  // placed.
+  std::vector<std::vector<ColumnCondition>> ExtractConditions(
+      const Expr* where, const std::vector<TableRef>& from,
+      const std::vector<bool>& placed) const;
 
   // Expected heap pages fetched for `match_rows` rows located via an index
   // whose leading column is `column`. Interpolates between the clustered
@@ -104,11 +111,15 @@ class Planner {
   CostParams params_;
 };
 
-// Helper: resolves which FROM-list alias a column reference belongs to.
-// Returns -1 when ambiguous/unknown. Unqualified columns are resolved by
-// probing each table's schema.
+// The one rule for which table a column reference belongs to: the first
+// FROM entry whose schema has the column and, when the reference is
+// qualified, whose alias or real name matches the qualifier. Returns that
+// entry's index, or -1 when no entry matches (the reference is unbound).
+// The answer depends on the statement alone, never on the join order.
+// When `ordinal` is non-null it receives the column's position in the
+// owner's schema.
 int ResolveColumnTable(const ColumnRef& col,
                        const std::vector<TableRef>& from,
-                       const Catalog& catalog);
+                       const Catalog& catalog, int* ordinal = nullptr);
 
 }  // namespace autoindex

@@ -228,9 +228,12 @@ class JoinColumnResolution : public ::testing::Test {
                                                {"id", ValueType::kInt},
                                                {"w", ValueType::kInt}}))
                 .status());
-    tables_.resize(2);
-    tables_[0].ref = TableRef("ta", "p");
-    tables_[1].ref = TableRef("tb", "q");
+    plan_.from = {TableRef("ta", "p"), TableRef("tb", "q")};
+    plan_.tables.resize(2);
+    plan_.tables[0].ref = plan_.from[0];
+    plan_.tables[0].from_index = 0;
+    plan_.tables[1].ref = plan_.from[1];
+    plan_.tables[1].from_index = 1;
     tuple_.slots = {{Value(int64_t(1)), Value(int64_t(10))},
                     {Value(int64_t(20)), Value(int64_t(1)),
                      Value(int64_t(30))}};
@@ -238,12 +241,12 @@ class JoinColumnResolution : public ::testing::Test {
   }
 
   Catalog catalog_;
-  std::vector<TablePlan> tables_;
+  SelectPlan plan_;
   ExecTuple tuple_;
 };
 
-TEST_F(JoinColumnResolution, NewestTableFirstAndQualifiers) {
-  PrefixResolver resolver(catalog_, tables_, 1);
+TEST_F(JoinColumnResolution, FirstFromEntryOwnsAndQualifiers) {
+  PrefixResolver resolver(catalog_, plan_, 1);
   resolver.Bind(&tuple_, nullptr);
   const ColumnRef unqualified("k");
   const ColumnRef by_alias("p", "k");
@@ -253,7 +256,8 @@ TEST_F(JoinColumnResolution, NewestTableFirstAndQualifiers) {
   // Twice each: the second pass reads the memoised bindings.
   for (int pass = 0; pass < 2; ++pass) {
     ASSERT_NE(resolver.Resolve(unqualified), nullptr);
-    EXPECT_EQ(resolver.Resolve(unqualified)->AsInt(), 20) << "newest first";
+    EXPECT_EQ(resolver.Resolve(unqualified)->AsInt(), 10)
+        << "first FROM entry";
     ASSERT_NE(resolver.Resolve(by_alias), nullptr);
     EXPECT_EQ(resolver.Resolve(by_alias)->AsInt(), 10);
     ASSERT_NE(resolver.Resolve(by_table), nullptr);
@@ -264,28 +268,57 @@ TEST_F(JoinColumnResolution, NewestTableFirstAndQualifiers) {
     EXPECT_EQ(resolver.Resolve(only_in_tb)->AsInt(), 30);
   }
 
-  // Over the prefix [ta] alone the unqualified name falls to ta.
-  PrefixResolver outer_only(catalog_, tables_, 0);
+  // Over the prefix [ta] alone the unqualified name still reads ta.
+  PrefixResolver outer_only(catalog_, plan_, 0);
   outer_only.Bind(&tuple_, nullptr);
   ASSERT_NE(outer_only.Resolve(unqualified), nullptr);
   EXPECT_EQ(outer_only.Resolve(unqualified)->AsInt(), 10);
   EXPECT_EQ(outer_only.Resolve(only_in_tb), nullptr);
 
   // A name bound to the table being placed reads the candidate row, and
-  // is unbound while no candidate is given (index key binding).
+  // is unbound while no candidate is given (index key binding). The
+  // unqualified name is ta's, so it reads the outer row either way.
   ExecTuple outer;
   outer.slots = {tuple_.slots[0]};
   outer.rids = {0};
-  PrefixResolver placing(catalog_, tables_, 1);
+  PrefixResolver placing(catalog_, plan_, 1);
   placing.Bind(&outer, nullptr);
-  EXPECT_EQ(placing.Resolve(unqualified), nullptr);
+  ASSERT_NE(placing.Resolve(unqualified), nullptr);
+  EXPECT_EQ(placing.Resolve(unqualified)->AsInt(), 10);
+  EXPECT_EQ(placing.Resolve(other_alias), nullptr);
   placing.Bind(&outer, &tuple_.slots[1]);
   ASSERT_NE(placing.Resolve(unqualified), nullptr);
-  EXPECT_EQ(placing.Resolve(unqualified)->AsInt(), 20);
+  EXPECT_EQ(placing.Resolve(unqualified)->AsInt(), 10);
+  ASSERT_NE(placing.Resolve(other_alias), nullptr);
+  EXPECT_EQ(placing.Resolve(other_alias)->AsInt(), 20);
+}
+
+TEST_F(JoinColumnResolution, OwnerDoesNotDependOnJoinOrder) {
+  // Join order tb, ta over the same FROM list (ta p, tb q): the
+  // unqualified `k` is still ta's, now in slot 1, and unbound over the
+  // prefix [tb] where ta is not placed yet.
+  std::swap(plan_.tables[0], plan_.tables[1]);
+  ExecTuple swapped;
+  swapped.slots = {tuple_.slots[1], tuple_.slots[0]};
+  swapped.rids = {0, 0};
+  const ColumnRef unqualified("k");
+  const ColumnRef only_in_tb("w");
+  PrefixResolver full(catalog_, plan_, 1);
+  full.Bind(&swapped, nullptr);
+  ASSERT_NE(full.Resolve(unqualified), nullptr);
+  EXPECT_EQ(full.Resolve(unqualified)->AsInt(), 10);
+  ASSERT_NE(full.Resolve(only_in_tb), nullptr);
+  EXPECT_EQ(full.Resolve(only_in_tb)->AsInt(), 30);
+
+  PrefixResolver tb_only(catalog_, plan_, 0);
+  tb_only.Bind(&swapped, nullptr);
+  EXPECT_EQ(tb_only.Resolve(unqualified), nullptr);
+  ASSERT_NE(tb_only.Resolve(only_in_tb), nullptr);
+  EXPECT_EQ(tb_only.Resolve(only_in_tb)->AsInt(), 30);
 }
 
 TEST_F(JoinColumnResolution, UnknownColumnIsUnbound) {
-  PrefixResolver resolver(catalog_, tables_, 1);
+  PrefixResolver resolver(catalog_, plan_, 1);
   resolver.Bind(&tuple_, nullptr);
   const ColumnRef unknown("nosuch");
   const ColumnRef wrong_qualifier("r", "k");
@@ -304,9 +337,9 @@ TEST_F(JoinColumnResolution, UnknownColumnIsUnbound) {
                                  resolver));
 }
 
-// The same rules end to end: `ta` (3 rows) is placed before `tb` (50
-// rows), so an unqualified `k` in the select list reads tb; an unknown
-// column projects NULL and filters every row out.
+// The same rules end to end: an unqualified `k` in the select list reads
+// ta, the first FROM entry that has it; an unknown column projects NULL
+// and filters every row out.
 TEST(JoinColumnResolutionEndToEnd, ProjectionAndPredicates) {
   Database db;
   db.CreateTable("ta", Schema({{"id", ValueType::kInt},
@@ -329,12 +362,71 @@ TEST(JoinColumnResolutionEndToEnd, ProjectionAndPredicates) {
       "WHERE p.id = q.id AND q.k > 200");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(Canonical(r->rows),
-            "101|101|201|201|NULL|\n102|102|202|202|NULL|");
+            "101|101|201|101|NULL|\n102|102|202|102|NULL|");
 
   auto unknown = db.Execute(
       "SELECT p.k FROM ta p, tb q WHERE p.id = q.id AND nosuch = 1");
   ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
   EXPECT_TRUE(unknown->rows.empty());
+}
+
+// A name shared by two joined tables reads the same table whichever one
+// the planner places first. `ta` is the smaller table in one run and the
+// larger in the other, so the join order flips; the unqualified `k` is
+// ta's in both (the first FROM entry that has it), in the select list and
+// in the WHERE clause alike.
+TEST(JoinColumnResolutionEndToEnd, SharedNameIndependentOfJoinOrder) {
+  const std::string sql = "SELECT p.id, k FROM ta p, tb q WHERE p.id = q.id";
+  const std::string filtered_sql = sql + " AND k > 100";
+  std::vector<std::string> results;
+  std::vector<std::string> first_scans;
+  for (const int64_t ta_size : {3, 50}) {
+    SCOPED_TRACE(StrCat("ta rows: ", ta_size));
+    Database db;
+    db.CreateTable("ta", Schema({{"id", ValueType::kInt},
+                                 {"k", ValueType::kInt}}));
+    db.CreateTable("tb", Schema({{"k", ValueType::kInt},
+                                 {"id", ValueType::kInt}}));
+    std::vector<Row> ta_rows, tb_rows;
+    for (int64_t i = 0; i < ta_size; ++i) {
+      ta_rows.push_back({Value(i), Value(100 + i)});
+    }
+    for (int64_t i = 0; i < 53 - ta_size; ++i) {
+      tb_rows.push_back({Value(200 + i), Value(i)});
+    }
+    CheckOk(db.BulkInsert("ta", std::move(ta_rows)));
+    CheckOk(db.BulkInsert("tb", std::move(tb_rows)));
+    db.Analyze();
+
+    auto r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->plan.has_value());
+    const PlanNodeSnapshot* leaf = &*r->plan;
+    while (!leaf->children.empty()) leaf = &leaf->children[0];
+    first_scans.push_back(leaf->detail);
+    auto parsed = ParseSql(sql);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(Canonical(r->rows),
+              Canonical(ReferenceSelect(db, *parsed->select)));
+    results.push_back(Canonical(r->rows));
+
+    // The filter keeps exactly the projected rows whose k passes it.
+    std::vector<Row> expected;
+    for (const Row& row : r->rows) {
+      if (row[1].AsInt() > 100) expected.push_back(row);
+    }
+    auto filtered = db.Execute(filtered_sql);
+    ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+    EXPECT_EQ(Canonical(filtered->rows), Canonical(expected));
+    auto parsed_filtered = ParseSql(filtered_sql);
+    ASSERT_TRUE(parsed_filtered.ok());
+    EXPECT_EQ(Canonical(filtered->rows),
+              Canonical(ReferenceSelect(db, *parsed_filtered->select)));
+  }
+  ASSERT_EQ(first_scans.size(), 2u);
+  EXPECT_NE(first_scans[0], first_scans[1]) << "join order did not flip";
+  EXPECT_EQ(results[0], results[1]);
+  EXPECT_EQ(results[0], "0|100|\n1|101|\n2|102|");
 }
 
 }  // namespace

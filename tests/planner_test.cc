@@ -61,7 +61,7 @@ class PlannerTest : public ::testing::Test {
 TEST_F(PlannerTest, ExtractsLiteralConditions) {
   SelectStatement& s =
       Select("SELECT a FROM big WHERE a = 5 AND b > 10 AND c <= 3");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   ASSERT_EQ(conds.size(), 3u);
   EXPECT_EQ(conds[0].kind, ColumnCondition::kEq);
   EXPECT_EQ(conds[1].kind, ColumnCondition::kRangeLo);
@@ -72,7 +72,7 @@ TEST_F(PlannerTest, ExtractsLiteralConditions) {
 
 TEST_F(PlannerTest, SwappedLiteralNormalized) {
   SelectStatement& s = Select("SELECT a FROM big WHERE 5 = a AND 10 < b");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   ASSERT_EQ(conds.size(), 2u);
   EXPECT_EQ(conds[0].kind, ColumnCondition::kEq);
   EXPECT_EQ(conds[1].kind, ColumnCondition::kRangeLo);
@@ -80,7 +80,7 @@ TEST_F(PlannerTest, SwappedLiteralNormalized) {
 
 TEST_F(PlannerTest, BetweenSplitsIntoTwoRanges) {
   SelectStatement& s = Select("SELECT a FROM big WHERE b BETWEEN 3 AND 9");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   ASSERT_EQ(conds.size(), 2u);
   EXPECT_EQ(conds[0].kind, ColumnCondition::kRangeLo);
   EXPECT_EQ(conds[1].kind, ColumnCondition::kRangeHi);
@@ -89,8 +89,8 @@ TEST_F(PlannerTest, BetweenSplitsIntoTwoRanges) {
 TEST_F(PlannerTest, JoinConditionRecognized) {
   SelectStatement& s = Select(
       "SELECT big.a FROM small, big WHERE big.b = small.k AND big.c = 1");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big",
-                                           {TableRef("small")});
+  auto conds =
+      planner_->ExtractConditions(s.where.get(), s.from, {true, false})[1];
   ASSERT_EQ(conds.size(), 2u);
   bool has_join = false;
   for (const auto& c : conds) {
@@ -109,8 +109,8 @@ TEST_F(PlannerTest, UnqualifiedJoinColumnsRecognized) {
   // joins silently degrade to cartesian products.
   SelectStatement& s = Select(
       "SELECT a FROM small, big WHERE b = k AND c = 1");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big",
-                                           {TableRef("small")});
+  auto conds =
+      planner_->ExtractConditions(s.where.get(), s.from, {true, false})[1];
   bool has_join = false;
   for (const auto& c : conds) {
     if (c.join_source.has_value()) {
@@ -122,17 +122,47 @@ TEST_F(PlannerTest, UnqualifiedJoinColumnsRecognized) {
   EXPECT_TRUE(has_join);
 }
 
+TEST_F(PlannerTest, UnqualifiedSharedColumnIsConditionOfItsOwnerOnly) {
+  // `k` is a column of both small and other. The first FROM entry whose
+  // schema has it owns it, so only that table's plan carries `k = 5`,
+  // whichever table the planner places first.
+  auto other = catalog_.CreateTable(
+      "other", Schema({{"k", ValueType::kInt}, {"w", ValueType::kInt}}));
+  ASSERT_TRUE(other.ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        (*other)->Insert({Value(int64_t(i)), Value(int64_t(i))}).ok());
+  }
+  for (const std::string owner : {"small", "other"}) {
+    const std::string from =
+        owner == "small" ? "small, other" : "other, small";
+    SelectStatement& s =
+        Select("SELECT v FROM " + from + " WHERE v = w AND k = 5");
+    auto plan = planner_->PlanSelect(s, {});
+    ASSERT_TRUE(plan.ok());
+    ASSERT_EQ(plan->tables.size(), 2u);
+    for (const TablePlan& tp : plan->tables) {
+      size_t on_k = 0;
+      for (const ColumnCondition& c : tp.conditions) {
+        if (c.column == "k") ++on_k;
+      }
+      EXPECT_EQ(on_k, tp.ref.table == owner ? 1u : 0u)
+          << "FROM " << from << ", plan of " << tp.ref.table;
+    }
+  }
+}
+
 TEST_F(PlannerTest, TopLevelOrYieldsNoSargableConditions) {
   SelectStatement& s = Select("SELECT a FROM big WHERE a = 1 OR b = 2");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   EXPECT_TRUE(conds.empty());
 }
 
 TEST_F(PlannerTest, ChoosesSelectiveIndexOverSeqScan) {
   SelectStatement& s = Select("SELECT b FROM big WHERE a = 77");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"a"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"a"}), 50000)});
   EXPECT_TRUE(decision.use_index);
   EXPECT_EQ(decision.eq_prefix_len, 1u);
   EXPECT_LT(decision.est_match_rows, 5.0);
@@ -140,18 +170,18 @@ TEST_F(PlannerTest, ChoosesSelectiveIndexOverSeqScan) {
 
 TEST_F(PlannerTest, RejectsUnusableIndex) {
   SelectStatement& s = Select("SELECT b FROM big WHERE a = 77");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   // Index on (b) cannot serve an a-predicate.
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"b"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"b"}), 50000)});
   EXPECT_FALSE(decision.use_index);
 }
 
 TEST_F(PlannerTest, PrefersLongerPrefixMatch) {
   SelectStatement& s = Select("SELECT c FROM big WHERE a = 7 AND b = 100");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds,
+      "big", conds,
       {View(IndexDef("big", {"b"}), 50000),
        View(IndexDef("big", {"a", "b"}), 50000)});
   ASSERT_TRUE(decision.use_index);
@@ -162,9 +192,9 @@ TEST_F(PlannerTest, PrefersLongerPrefixMatch) {
 TEST_F(PlannerTest, RangeAfterEqualityPrefix) {
   SelectStatement& s =
       Select("SELECT c FROM big WHERE b = 100 AND a > 49900");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"b", "a"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"b", "a"}), 50000)});
   ASSERT_TRUE(decision.use_index);
   EXPECT_EQ(decision.eq_prefix_len, 1u);
   EXPECT_TRUE(decision.has_range);
@@ -172,11 +202,11 @@ TEST_F(PlannerTest, RangeAfterEqualityPrefix) {
 
 TEST_F(PlannerTest, WeakPredicatePrefersSeqScan) {
   SelectStatement& s = Select("SELECT a FROM big WHERE c = 2");
-  auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
+  auto conds = planner_->ExtractConditions(s.where.get(), s.from, {false})[0];
   // c has 5 distinct values: 20% of a 50k-row table; random heap fetches
   // would dominate.
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"c"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"c"}), 50000)});
   EXPECT_FALSE(decision.use_index);
 }
 
