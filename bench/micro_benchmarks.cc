@@ -205,8 +205,7 @@ void BM_ExecutePointSelect(benchmark::State& state) {
 BENCHMARK(BM_ExecutePointSelect);
 
 // The per-tuple path of a scan: a 10k-row SeqScan whose int and string
-// predicates are evaluated for every row (in the scan and again in the
-// Filter over its survivors), with no index to skip rows.
+// predicates are evaluated for every row, with no index to skip rows.
 void BM_ExecuteScanFilter(benchmark::State& state) {
   static Database* db = [] {
     auto* d = new Database();

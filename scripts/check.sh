@@ -72,6 +72,12 @@ cmake --build build-werror -j "${JOBS}"
 step "tier-1 tests (plain build)"
 ctest --test-dir build-werror -L tier1 --output-on-failure
 
+# The differential guards (pipeline, query and cost property tests) run
+# here too, so --fast also checks the operators against the reference
+# evaluator.
+step "property tests (plain build)"
+ctest --test-dir build-werror -L property --output-on-failure
+
 step "index lifecycle tests (plain build)"
 ctest --test-dir build-werror -L lifecycle --output-on-failure
 

@@ -343,6 +343,12 @@ StatusOr<ExecResult> Database::ExecuteOn(Executor* executor,
 Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
   HeapTable* t = catalog_->GetTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
+  // All-or-nothing, like ExecuteInsert: a bad row fails the batch before
+  // any row reaches the heap or the WAL.
+  for (const Row& row : rows) {
+    Status s = t->CheckArity(row);
+    if (!s.ok()) return s;
+  }
   // Insert moves the rows away, so the WAL copy is taken up front (only
   // when a log is attached — the population fast path stays copy-free).
   std::vector<Row> logged_rows;

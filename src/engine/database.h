@@ -86,6 +86,8 @@ class Database {
   StatusOr<ExecResult> ExecuteOn(Executor* executor, const Statement& stmt);
 
   // Bulk load rows without per-statement accounting (population fast path).
+  // All-or-nothing: a row of the wrong arity fails the batch before any row
+  // is inserted or logged.
   Status BulkInsert(const std::string& table, std::vector<Row> rows);
 
   // Refreshes optimizer statistics (call after bulk loads).

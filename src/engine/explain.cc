@@ -7,11 +7,14 @@
 namespace autoindex {
 namespace {
 
-std::string DescribeAccess(const TablePlan& tp, bool first_level) {
-  std::string out;
+// One join level as the planner priced it. `rows` and `cost` are the
+// level's output rows and price for a SELECT, the access path's for a
+// write lookup.
+std::string DescribeLevel(const TablePlan& tp, size_t level, double rows,
+                          double cost) {
+  const std::string est = StrFormat("(est. %.1f rows, cost %.1f)", rows, cost);
+  const char* alias = tp.ref.alias.c_str();
   if (tp.access.use_index) {
-    out += StrFormat("-> index scan on %s via %s\n", tp.ref.alias.c_str(),
-                     tp.access.index.DisplayName().c_str());
     std::vector<std::string> bound;
     for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
       bound.push_back(tp.access.index.columns[k] + " = ?");
@@ -21,31 +24,25 @@ std::string DescribeAccess(const TablePlan& tp, bool first_level) {
       bound.push_back(tp.access.index.columns[tp.access.eq_prefix_len] +
                       " range");
     }
-    out += StrFormat("     prefix: %s  (est. %.1f rows, cost %.1f)\n",
-                     Join(bound, ", ").c_str(), tp.access.est_rows,
-                     tp.access.est_cost);
-  } else {
-    bool has_join = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.join_source.has_value()) has_join = true;
-    }
-    if (has_join && !first_level) {
-      std::vector<std::string> keys;
-      for (const ColumnCondition& c : tp.conditions) {
-        if (c.join_source.has_value()) {
-          keys.push_back(c.column + " = " + c.join_source->ToString());
-        }
-      }
-      out += StrFormat("-> hash join to %s on %s  (est. %.1f rows)\n",
-                       tp.ref.alias.c_str(), Join(keys, ", ").c_str(),
-                       tp.access.est_rows);
-    } else {
-      out += StrFormat("-> seq scan on %s  (est. %.1f rows, cost %.1f)\n",
-                       tp.ref.alias.c_str(), tp.access.est_rows,
-                       tp.access.est_cost);
-    }
+    return StrFormat("-> index scan on %s via %s\n     prefix: %s  %s\n",
+                     alias, tp.access.index.DisplayName().c_str(),
+                     Join(bound, ", ").c_str(), est.c_str());
   }
-  return out;
+  if (tp.equi_join) {
+    std::vector<std::string> keys;
+    for (const ColumnCondition& c : tp.conditions) {
+      if (c.join_source.has_value()) {
+        keys.push_back(c.column + " = " + c.join_source->ToString());
+      }
+    }
+    return StrFormat("-> hash join to %s on %s  %s\n", alias,
+                     Join(keys, ", ").c_str(), est.c_str());
+  }
+  if (level > 0) {
+    return StrFormat("-> nested loop join to %s (cartesian)  %s\n", alias,
+                     est.c_str());
+  }
+  return StrFormat("-> seq scan on %s  %s\n", alias, est.c_str());
 }
 
 }  // namespace
@@ -64,12 +61,13 @@ std::string ExplainStatement(const Database& db, const Statement& stmt,
       StatusOr<SelectPlan> plan = planner.PlanSelect(*stmt.select, views);
       if (!plan.ok()) return "error: " + plan.status().ToString();
       for (size_t i = 0; i < plan->tables.size(); ++i) {
-        out += DescribeAccess(plan->tables[i], i == 0);
+        const TablePlan& tp = plan->tables[i];
+        out += DescribeLevel(tp, i, tp.est_rows_out, tp.est_io + tp.est_cpu);
       }
       if (!stmt.select->group_by.empty()) out += "-> hash aggregate\n";
       if (!stmt.select->order_by.empty()) out += "-> sort\n";
       out += StrFormat("estimated total cost: %.1f (est. %.1f result rows)\n",
-                       plan->est_total_cost, plan->est_result_rows);
+                       plan->est_cost.CData(), plan->est_result_rows);
       return out;
     }
     case StatementKind::kUpdate:
@@ -80,7 +78,7 @@ std::string ExplainStatement(const Database& db, const Statement& stmt,
       StatusOr<TablePlan> tp =
           planner.PlanWriteLookup(table, stmt.where(), views);
       if (!tp.ok()) return "error: " + tp.status().ToString();
-      out += DescribeAccess(*tp, true);
+      out += DescribeLevel(*tp, 0, tp->access.est_rows, tp->access.est_cost);
       out += stmt.kind == StatementKind::kUpdate ? "-> update rows\n"
                                                  : "-> delete rows\n";
       return out;

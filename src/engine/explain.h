@@ -9,14 +9,17 @@ namespace autoindex {
 
 // Renders the plan the engine would run for a statement under a given
 // index configuration — access path per table (seq scan / index scan with
-// the matched prefix / hash join), join order, and estimated
-// rows/costs. The default config is the currently built index set.
+// the matched prefix / hash join / cartesian nested loop) in join order,
+// each with the output rows and price the planner stored for its level.
+// The estimated total is the plan's price, the cost the what-if model
+// gives the tuner. The default config is the currently built index set.
 //
 //   EXPLAIN SELECT ... =>
 //     -> index scan on orders via idx_orders_customer_id
 //          prefix: customer_id = ?  (est. 10.0 rows, cost 12.4)
-//     -> hash join to items on item_id (est. 40.0 rows)
-//     estimated total cost: 52.4
+//     -> hash join to items on item_id = orders.item_id  (est. 10.0 rows,
+//        cost 40.0)
+//     estimated total cost: 52.4 (est. 10.0 result rows)
 std::string ExplainStatement(const Database& db, const Statement& stmt);
 std::string ExplainStatement(const Database& db, const Statement& stmt,
                              const IndexConfig& config);

@@ -31,16 +31,14 @@ bool IndexNestedLoopJoinOp::DoNext(ExecTuple* out) {
 HashJoinOp::HashJoinOp(ExecContext* ctx,
                        const SelectPlan& plan, size_t level,
                        std::unique_ptr<PhysicalOperator> outer,
-                       std::unique_ptr<SeqScanOp> build,
-                       std::vector<std::string> join_cols,
-                       std::vector<ColumnRef> join_sources)
+                       std::unique_ptr<SeqScanOp> build)
     : JoinOpBase(ctx, plan, level, std::move(outer)),
       build_(std::move(build)),
-      join_cols_(std::move(join_cols)),
-      join_sources_(std::move(join_sources)),
       table_(ctx->catalog->GetTable(plan.tables[level].ref.table)) {
-  for (const std::string& c : join_cols_) {
-    key_ords_.push_back(table_->schema().FindColumn(c));
+  for (const ColumnCondition& c : plan.tables[level].conditions) {
+    if (!c.join_source.has_value()) continue;
+    keys_.push_back(&c);
+    key_ords_.push_back(table_->schema().FindColumn(c.column));
   }
 }
 
@@ -73,8 +71,8 @@ bool HashJoinOp::DoNext(ExecTuple* out) {
       matches_ = nullptr;
       Row probe;
       bool bound = true;
-      for (const ColumnRef& src : join_sources_) {
-        const Value* v = resolver_.Resolve(src);
+      for (const ColumnCondition* key : keys_) {
+        const Value* v = resolver_.Resolve(*key->join_source);
         if (v == nullptr) {
           bound = false;
           break;
@@ -107,8 +105,8 @@ bool HashJoinOp::DoNext(ExecTuple* out) {
 
 std::string HashJoinOp::detail() const {
   std::vector<std::string> keys;
-  for (size_t i = 0; i < join_cols_.size(); ++i) {
-    keys.push_back(join_cols_[i] + " = " + join_sources_[i].ToString());
+  for (const ColumnCondition* key : keys_) {
+    keys.push_back(key->column + " = " + key->join_source->ToString());
   }
   return JoinOpBase::detail() + " on " + Join(keys, ", ");
 }

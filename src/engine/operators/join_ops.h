@@ -73,17 +73,16 @@ class IndexNestedLoopJoinOp : public JoinOpBase {
   std::unique_ptr<IndexScanOp> inner_;
 };
 
-// Hash join: lazily builds a hash table over the filtered inner table (the
-// build side is a SeqScan so scan accounting lives there), then probes it
-// with join-key values resolved from each outer tuple. Matches are
-// re-checked exactly (hash collisions) via the join conditions.
+// Hash join on the level's equality join conditions: lazily builds a hash
+// table over the filtered inner table (the build side is a SeqScan so scan
+// accounting lives there), then probes it with join-key values resolved
+// from each outer tuple. Matches are re-checked exactly (hash collisions)
+// via the join conditions.
 class HashJoinOp : public JoinOpBase {
  public:
   HashJoinOp(ExecContext* ctx, const SelectPlan& plan,
              size_t level, std::unique_ptr<PhysicalOperator> outer,
-             std::unique_ptr<SeqScanOp> build,
-             std::vector<std::string> join_cols,
-             std::vector<ColumnRef> join_sources);
+             std::unique_ptr<SeqScanOp> build);
 
   void DoOpen() override { outer_->Open(); }
   bool DoNext(ExecTuple* out) override;
@@ -102,8 +101,9 @@ class HashJoinOp : public JoinOpBase {
   void BuildHashTable();
 
   std::unique_ptr<SeqScanOp> build_;
-  std::vector<std::string> join_cols_;
-  std::vector<ColumnRef> join_sources_;
+  // The join conditions (pointers into the plan) and the schema ordinal of
+  // each one's inner column.
+  std::vector<const ColumnCondition*> keys_;
   std::vector<int> key_ords_;
   const HeapTable* table_;
   std::unordered_map<size_t, std::vector<RowId>> hash_;

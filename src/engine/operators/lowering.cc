@@ -7,6 +7,7 @@
 #include "engine/operators/join_ops.h"
 #include "engine/operators/pipeline_ops.h"
 #include "engine/operators/scan_ops.h"
+#include "sql/dnf.h"
 
 namespace autoindex {
 namespace {
@@ -60,158 +61,160 @@ void NoteIndexUse(BuiltIndex* bi, PhysicalPlan* pp,
   if (seen->insert(name).second) pp->indexes_used.push_back(name);
 }
 
+// The WHERE atoms no ColumnCondition of the plan holds. Every held atom is
+// already checked at its own level (LocalConditionsOk/JoinConditionsOk),
+// where each of its columns binds to the same row as at the top of the
+// plan. What is left: OR/NOT subtrees, same-table column comparisons,
+// atoms over unbound columns — or the whole WHERE when it is not a plain
+// conjunction.
+std::vector<const Expr*> ResidualAtoms(const SelectPlan& plan,
+                                       const Expr* where) {
+  std::vector<const Expr*> atoms;
+  if (where == nullptr) return atoms;
+  if (!ExtractConjunctionAtoms(*where, &atoms)) return {where};
+  auto held = [&](const Expr* atom) {
+    for (const TablePlan& tp : plan.tables) {
+      for (const ColumnCondition& c : tp.conditions) {
+        if (c.atom == atom) return true;
+      }
+    }
+    return false;
+  };
+  atoms.erase(std::remove_if(atoms.begin(), atoms.end(), held), atoms.end());
+  return atoms;
+}
+
+// The left-deep join chain over pp->logical.tables, under a Filter over
+// the residual WHERE atoms when there are any. Scans and joins carry the
+// planner's estimates: a scan its access path's (per probe for an index
+// join's inner side), a join its level's price and output rows.
+std::unique_ptr<PhysicalOperator> LowerJoinChain(PhysicalPlan* pp,
+                                                 const Expr* where,
+                                                 const Catalog* catalog,
+                                                 IndexManager* indexes) {
+  ExecContext* ctx = pp->ctx.get();
+  const SelectPlan& logical = pp->logical;
+  std::unordered_set<std::string> seen_indexes;
+  std::unique_ptr<PhysicalOperator> root;
+
+  for (size_t level = 0; level < logical.tables.size(); ++level) {
+    const TablePlan& tp = logical.tables[level];
+    BuiltIndex* bi = FindBuiltIndex(indexes, tp);
+    if (bi != nullptr) NoteIndexUse(bi, pp, &seen_indexes);
+    const bool index_bindable =
+        bi != nullptr && PrefixBindable(*catalog, logical, level);
+
+    if (level == 0) {
+      if (index_bindable) {
+        root = std::make_unique<IndexScanOp>(ctx, logical, 0, bi);
+      } else {
+        root = std::make_unique<SeqScanOp>(ctx, logical, 0);
+      }
+      root->set_estimates(tp.access.est_rows, tp.access.est_cost);
+      continue;
+    }
+
+    if (index_bindable) {
+      auto inner = std::make_unique<IndexScanOp>(ctx, logical, level, bi);
+      inner->set_estimates(tp.access.est_match_rows, tp.access.est_cost);
+      root = std::make_unique<IndexNestedLoopJoinOp>(
+          ctx, logical, level, std::move(root), std::move(inner));
+    } else {
+      // No index whose key prefix binds from the outer tuple: hash join on
+      // the equality join conditions, or a cartesian nested loop when
+      // there are none.
+      auto inner = std::make_unique<SeqScanOp>(ctx, logical, level);
+      inner->set_estimates(tp.access.est_rows, tp.access.est_cost);
+      if (tp.equi_join) {
+        root = std::make_unique<HashJoinOp>(ctx, logical, level,
+                                            std::move(root), std::move(inner));
+      } else {
+        root = std::make_unique<NestedLoopJoinOp>(
+            ctx, logical, level, std::move(root), std::move(inner));
+      }
+    }
+    root->set_estimates(tp.est_rows_out, tp.est_io + tp.est_cpu);
+  }
+
+  std::vector<const Expr*> residual = ResidualAtoms(logical, where);
+  if (residual.empty()) return root;
+  // The planner does not price residual atoms: the Filter shows the
+  // estimates of the chain it sits on.
+  const double rows = root->est_rows();
+  const double cost = root->est_cost();
+  auto filter = std::make_unique<FilterOp>(ctx, logical, std::move(residual),
+                                           std::move(root));
+  filter->set_estimates(rows, cost);
+  return filter;
+}
+
+// ORDER BY over grouped output: each order column matched to a select
+// item by name, as (item slot, desc); unmatched columns are ignored
+// (historical semantics).
+std::vector<std::pair<int, bool>> GroupedSortKeys(
+    const SelectStatement& stmt) {
+  std::vector<std::pair<int, bool>> slot_keys;
+  for (const OrderByItem& o : stmt.order_by) {
+    for (size_t k = 0; k < stmt.items.size(); ++k) {
+      if (!stmt.items[k].star &&
+          stmt.items[k].column.column == o.column.column) {
+        slot_keys.emplace_back(static_cast<int>(k), o.desc);
+        break;
+      }
+    }
+  }
+  return slot_keys;
+}
+
+std::unique_ptr<PhysicalPlan> NewPhysicalPlan(const Catalog* catalog) {
+  auto pp = std::make_unique<PhysicalPlan>();
+  pp->ctx = std::make_unique<ExecContext>();
+  pp->ctx->catalog = catalog;
+  return pp;
+}
+
 }  // namespace
 
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
                                           IndexManager* indexes) {
-  auto pp = std::make_unique<PhysicalPlan>();
+  std::unique_ptr<PhysicalPlan> pp = NewPhysicalPlan(catalog);
   pp->logical = std::move(plan);
-  pp->ctx = std::make_unique<ExecContext>();
-  pp->ctx->catalog = catalog;
   ExecContext* ctx = pp->ctx.get();
   const SelectPlan& logical = pp->logical;
-  const std::vector<TablePlan>& tables = logical.tables;
+  std::unique_ptr<PhysicalOperator> root =
+      LowerJoinChain(pp.get(), stmt.where.get(), catalog, indexes);
 
-  std::unordered_set<std::string> seen_indexes;
-  std::unique_ptr<PhysicalOperator> root;
-  double outer_est_rows = 1.0;
-
-  for (size_t level = 0; level < tables.size(); ++level) {
-    const TablePlan& tp = tables[level];
-    BuiltIndex* bi = FindBuiltIndex(indexes, tp);
-    if (bi != nullptr) NoteIndexUse(bi, pp.get(), &seen_indexes);
-    const bool index_bindable =
-        bi != nullptr && PrefixBindable(*catalog, logical, level);
-
-    if (level == 0) {
-      if (index_bindable) {
-        auto scan = std::make_unique<IndexScanOp>(ctx, logical, 0, bi);
-        scan->set_estimates(tp.access.est_rows, tp.access.est_cost);
-        root = std::move(scan);
-      } else {
-        auto scan = std::make_unique<SeqScanOp>(ctx, logical, 0);
-        scan->set_estimates(tp.access.est_rows, tp.access.est_cost);
-        root = std::move(scan);
-      }
-      outer_est_rows = tp.access.est_rows;
-      continue;
-    }
-
-    const double join_est_rows =
-        outer_est_rows * std::max(tp.access.est_match_rows, 0.0);
-    const double join_est_cost = root->est_cost() + tp.access.est_cost;
-    if (index_bindable) {
-      auto inner = std::make_unique<IndexScanOp>(ctx, logical, level, bi);
-      inner->set_estimates(tp.access.est_match_rows, tp.access.est_cost);
-      auto join = std::make_unique<IndexNestedLoopJoinOp>(
-          ctx, logical, level, std::move(root), std::move(inner));
-      join->set_estimates(join_est_rows, join_est_cost);
-      root = std::move(join);
-    } else {
-      // No index whose key prefix binds from the outer tuple: hash join on
-      // the equality join conditions, or a cartesian nested loop when
-      // there are none.
-      std::vector<std::string> join_cols;
-      std::vector<ColumnRef> join_sources;
-      for (const ColumnCondition& c : tp.conditions) {
-        if (c.join_source.has_value() && c.kind == ColumnCondition::kEq) {
-          join_cols.push_back(c.column);
-          join_sources.push_back(*c.join_source);
-        }
-      }
-      auto inner = std::make_unique<SeqScanOp>(ctx, logical, level);
-      inner->set_estimates(tp.access.est_rows, tp.access.est_cost);
-      if (!join_cols.empty()) {
-        auto join = std::make_unique<HashJoinOp>(
-            ctx, logical, level, std::move(root), std::move(inner),
-            std::move(join_cols), std::move(join_sources));
-        join->set_estimates(join_est_rows, join_est_cost);
-        root = std::move(join);
-      } else {
-        auto join = std::make_unique<NestedLoopJoinOp>(
-            ctx, logical, level, std::move(root), std::move(inner));
-        join->set_estimates(outer_est_rows * tp.access.est_rows,
-                            join_est_cost);
-        root = std::move(join);
-      }
-    }
-    outer_est_rows = root->est_rows();
-  }
-
-  if (stmt.where != nullptr) {
-    auto filter = std::make_unique<FilterOp>(ctx, logical, stmt.where.get(),
-                                             std::move(root));
-    filter->set_estimates(logical.est_result_rows,
-                          logical.est_total_cost);
-    root = std::move(filter);
-  }
-
+  // Everything above the join chain sees the whole result: the plan's
+  // result rows and price.
+  auto estimated = [&](std::unique_ptr<PhysicalOperator> op) {
+    op->set_estimates(logical.est_result_rows, logical.est_cost.CData());
+    return op;
+  };
   const bool has_agg =
       !stmt.group_by.empty() ||
       std::any_of(stmt.items.begin(), stmt.items.end(),
                   [](const SelectItem& it) { return it.agg != AggFunc::kNone; });
-
   if (has_agg) {
-    auto agg = std::make_unique<HashAggregateOp>(
-        ctx, logical, &stmt.items, &stmt.group_by, std::move(root));
-    agg->set_estimates(logical.est_result_rows,
-                       logical.est_total_cost);
-    root = std::move(agg);
-    if (!stmt.order_by.empty()) {
-      // ORDER BY over grouped output: match order columns to select items
-      // by name; unmatched columns are ignored (historical semantics).
-      std::vector<std::pair<int, bool>> slot_keys;
-      for (const OrderByItem& o : stmt.order_by) {
-        for (size_t k = 0; k < stmt.items.size(); ++k) {
-          if (!stmt.items[k].star &&
-              stmt.items[k].column.column == o.column.column) {
-            slot_keys.emplace_back(static_cast<int>(k), o.desc);
-            break;
-          }
-        }
-      }
-      auto sort = std::make_unique<SortOp>(
-          ctx, logical, &stmt.order_by, std::move(slot_keys),
-          SortOp::Mode::kSlotKeys, std::move(root));
-      sort->set_estimates(logical.est_result_rows,
-                          logical.est_total_cost);
-      root = std::move(sort);
-    }
-    if (stmt.limit >= 0) {
-      const double capped =
-          std::min(static_cast<double>(stmt.limit), root->est_rows());
-      auto limit = std::make_unique<LimitOp>(
-          static_cast<size_t>(stmt.limit), std::move(root));
-      limit->set_estimates(capped, logical.est_total_cost);
-      root = std::move(limit);
-    }
-  } else {
-    if (!stmt.order_by.empty()) {
-      auto sort = std::make_unique<SortOp>(ctx, logical, &stmt.order_by,
-                                           std::vector<std::pair<int, bool>>{},
-                                           SortOp::Mode::kTupleKeys,
-                                           std::move(root));
-      sort->set_estimates(logical.est_result_rows,
-                          logical.est_total_cost);
-      root = std::move(sort);
-    }
-    if (stmt.limit >= 0) {
-      const double capped =
-          std::min(static_cast<double>(stmt.limit), root->est_rows());
-      auto limit = std::make_unique<LimitOp>(
-          static_cast<size_t>(stmt.limit), std::move(root));
-      limit->set_estimates(capped, logical.est_total_cost);
-      root = std::move(limit);
-    }
-    auto project = std::make_unique<ProjectOp>(ctx, logical, &stmt.items,
-                                               std::move(root));
-    project->set_estimates(logical.est_result_rows,
-                           logical.est_total_cost);
-    root = std::move(project);
+    root = estimated(std::make_unique<HashAggregateOp>(
+        ctx, logical, &stmt.items, &stmt.group_by, std::move(root)));
   }
-
+  if (!stmt.order_by.empty()) {
+    root = estimated(std::make_unique<SortOp>(
+        ctx, logical, &stmt.order_by,
+        has_agg ? GroupedSortKeys(stmt) : std::vector<std::pair<int, bool>>{},
+        has_agg ? SortOp::Mode::kSlotKeys : SortOp::Mode::kTupleKeys,
+        std::move(root)));
+  }
+  if (stmt.limit >= 0) {
+    root = std::make_unique<LimitOp>(static_cast<size_t>(stmt.limit),
+                                     std::move(root));
+  }
+  if (!has_agg) {
+    root = estimated(std::make_unique<ProjectOp>(ctx, logical, &stmt.items,
+                                                 std::move(root)));
+  }
   pp->root = std::move(root);
   return pp;
 }
@@ -220,39 +223,10 @@ std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,
                                                IndexManager* indexes) {
-  auto pp = std::make_unique<PhysicalPlan>();
+  std::unique_ptr<PhysicalPlan> pp = NewPhysicalPlan(catalog);
   pp->logical.from.push_back(tp.ref);
   pp->logical.tables.push_back(std::move(tp));
-  pp->logical.est_result_rows = pp->logical.tables[0].access.est_rows;
-  pp->logical.est_total_cost = pp->logical.tables[0].access.est_cost;
-  pp->ctx = std::make_unique<ExecContext>();
-  pp->ctx->catalog = catalog;
-  ExecContext* ctx = pp->ctx.get();
-  const SelectPlan& logical = pp->logical;
-  const TablePlan& t0 = logical.tables[0];
-
-  BuiltIndex* bi = FindBuiltIndex(indexes, t0);
-  std::unique_ptr<PhysicalOperator> root;
-  // Write lookups bind key columns from literals only; an index without an
-  // equality prefix cannot seed a probe, so fall back to a scan.
-  if (bi != nullptr && t0.access.eq_prefix_len > 0) {
-    std::unordered_set<std::string> seen;
-    NoteIndexUse(bi, pp.get(), &seen);
-    auto scan = std::make_unique<IndexScanOp>(ctx, logical, 0, bi);
-    scan->set_estimates(t0.access.est_rows, t0.access.est_cost);
-    root = std::move(scan);
-  } else {
-    auto scan = std::make_unique<SeqScanOp>(ctx, logical, 0);
-    scan->set_estimates(t0.access.est_rows, t0.access.est_cost);
-    root = std::move(scan);
-  }
-  if (where != nullptr) {
-    auto filter =
-        std::make_unique<FilterOp>(ctx, logical, where, std::move(root));
-    filter->set_estimates(t0.access.est_rows, t0.access.est_cost);
-    root = std::move(filter);
-  }
-  pp->root = std::move(root);
+  pp->root = LowerJoinChain(pp.get(), where, catalog, indexes);
   return pp;
 }
 

@@ -25,23 +25,28 @@ struct PhysicalPlan {
 // Lowers a planned SELECT into a physical operator tree:
 //
 //   Project / HashAggregate [+ Sort] [+ Limit]
-//     Filter                       (full WHERE, when present)
+//     Filter                       (residual WHERE atoms, when any)
 //       join chain                 (left-deep, one operator per level)
 //         SeqScan | IndexScan      (leftmost table)
 //
 // Join levels become IndexNestedLoopJoin when the planner chose an index
 // whose key prefix is statically bindable from the outer tuple, HashJoin
-// when equality join conditions exist, and a cartesian NestedLoopJoin
-// otherwise. Side effects mirror execution: each probed index gets
-// RecordUse() here, once per level.
+// when the level is an equi-join (TablePlan::equi_join), and a cartesian
+// NestedLoopJoin otherwise. Each level's scan or join applies the WHERE
+// atoms its ColumnConditions hold; the Filter holds only the rest.
+// Estimates are copied from the plan, never recomputed. Side effects
+// mirror execution: each probed index gets RecordUse() here, once per
+// level.
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
                                           IndexManager* indexes);
 
-// Lowers the row-location part of UPDATE/DELETE: a single scan (index when
-// the planner found a usable equality prefix) under an optional Filter with
-// the full WHERE. Matched RowIds surface through ExecTuple::rids.
+// Lowers the row-location part of UPDATE/DELETE the way LowerSelect lowers
+// its leftmost table: an IndexScan when the planner chose a built index
+// (equality prefix or range), else a SeqScan, under a Filter over the
+// residual WHERE atoms when there are any. Matched RowIds surface through
+// ExecTuple::rids.
 std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,

@@ -43,8 +43,12 @@ bool FilterOp::DoNext(ExecTuple* out) {
   while (child_->Next(&t)) {
     ++stats_.rows_in;
     resolver_.Bind(&t, nullptr);
-    ++stats_.comparisons;
-    if (!EvaluatePredicate(*predicate_, resolver_)) continue;
+    const bool pass =
+        std::all_of(atoms_.begin(), atoms_.end(), [&](const Expr* atom) {
+          ++stats_.comparisons;
+          return EvaluatePredicate(*atom, resolver_);
+        });
+    if (!pass) continue;
     *out = std::move(t);
     ++stats_.rows_out;
     return true;
@@ -53,12 +57,26 @@ bool FilterOp::DoNext(ExecTuple* out) {
 }
 
 std::string FilterOp::detail() const {
-  std::string s = predicate_->ToString();
+  std::vector<std::string> parts;
+  for (const Expr* atom : atoms_) parts.push_back(atom->ToString());
+  std::string s = Join(parts, " AND ");
   if (s.size() > 60) s = s.substr(0, 57) + "...";
   return s;
 }
 
 // --- ProjectOp -----------------------------------------------------------
+
+ProjectOp::ProjectOp(ExecContext* ctx, const SelectPlan& plan,
+                     const std::vector<SelectItem>* items,
+                     std::unique_ptr<PhysicalOperator> child)
+    : UnaryOpBase(std::move(child)),
+      items_(items),
+      resolver_(*ctx->catalog, plan, plan.tables.size() - 1),
+      star_slots_(plan.tables.size()) {
+  for (size_t slot = 0; slot < plan.tables.size(); ++slot) {
+    star_slots_[plan.tables[slot].from_index] = slot;
+  }
+}
 
 bool ProjectOp::DoNext(ExecTuple* out) {
   ExecTuple t;
@@ -68,8 +86,8 @@ bool ProjectOp::DoNext(ExecTuple* out) {
   Row row;
   for (const SelectItem& item : *items_) {
     if (item.star) {
-      for (const Row& slot : t.slots) {
-        for (const Value& v : slot) row.push_back(v);
+      for (size_t slot : star_slots_) {
+        for (const Value& v : t.slots[slot]) row.push_back(v);
       }
     } else {
       row.push_back(ProjectColumn(resolver_, item.column));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,14 +26,17 @@ class UnaryOpBase : public PhysicalOperator {
   std::unique_ptr<PhysicalOperator> child_;
 };
 
-// Evaluates the complete WHERE over fully-joined tuples — covers ORs and
-// cross-table predicates the per-level pruning could not evaluate.
+// Keeps the fully-joined tuples that pass every residual WHERE atom: the
+// atoms no scan or join applied (OR/NOT subtrees, same-table column
+// comparisons, unbound columns), or the whole WHERE when it is not a plain
+// conjunction. Atoms are borrowed from the statement.
 class FilterOp : public UnaryOpBase {
  public:
   FilterOp(ExecContext* ctx, const SelectPlan& plan,
-           const Expr* predicate, std::unique_ptr<PhysicalOperator> child)
+           std::vector<const Expr*> atoms,
+           std::unique_ptr<PhysicalOperator> child)
       : UnaryOpBase(std::move(child)),
-        predicate_(predicate),
+        atoms_(std::move(atoms)),
         resolver_(*ctx->catalog, plan, plan.tables.size() - 1) {}
 
   bool DoNext(ExecTuple* out) override;
@@ -42,21 +46,18 @@ class FilterOp : public UnaryOpBase {
   size_t out_width() const override { return child_->out_width(); }
 
  private:
-  const Expr* predicate_;
+  std::vector<const Expr*> atoms_;
   PrefixResolver resolver_;
 };
 
-// Projects joined tuples to output rows (star expansion in join order,
+// Projects joined tuples to output rows (star expansion in FROM order,
 // columns bound to their owning table by BindColumn). Emits single-slot
 // derived rows.
 class ProjectOp : public UnaryOpBase {
  public:
   ProjectOp(ExecContext* ctx, const SelectPlan& plan,
             const std::vector<SelectItem>* items,
-            std::unique_ptr<PhysicalOperator> child)
-      : UnaryOpBase(std::move(child)),
-        items_(items),
-        resolver_(*ctx->catalog, plan, plan.tables.size() - 1) {}
+            std::unique_ptr<PhysicalOperator> child);
 
   bool DoNext(ExecTuple* out) override;
 
@@ -67,6 +68,7 @@ class ProjectOp : public UnaryOpBase {
  private:
   const std::vector<SelectItem>* items_;
   PrefixResolver resolver_;
+  std::vector<size_t> star_slots_;  // the tuple slot of each FROM entry
 };
 
 // Blocking sort. Two key modes:
@@ -113,11 +115,15 @@ class SortOp : public UnaryOpBase {
 // actually ran (AccumulateOperatorCounters), so the accounting and the
 // PhysicalPlanValidator stay exact under the short-circuit; the what-if
 // estimates stay LIMIT-blind and the est-vs-actual gap surfaces in
-// EXPLAIN ANALYZE and the feedback loop.
+// EXPLAIN ANALYZE and the feedback loop. Its own estimate is the child's,
+// capped at n rows.
 class LimitOp : public UnaryOpBase {
  public:
   LimitOp(size_t limit, std::unique_ptr<PhysicalOperator> child)
-      : UnaryOpBase(std::move(child)), limit_(limit) {}
+      : UnaryOpBase(std::move(child)), limit_(limit) {
+    set_estimates(std::min(static_cast<double>(limit), child_->est_rows()),
+                  child_->est_cost());
+  }
 
   bool DoNext(ExecTuple* out) override;
 

@@ -330,10 +330,12 @@ StatusOr<SelectPlan> Planner::PlanSelect(
 
   // Greedy join ordering: repeatedly pick the unplaced table with the
   // smallest estimated cardinality among those connected to the placed set
-  // (or any table when none is connected yet / first pick).
+  // (or any table when none is connected yet / first pick). Each level is
+  // priced as it is placed, against the rows of the prefix before it.
   const size_t n = stmt.from.size();
   plan.from = stmt.from;
   std::vector<bool> placed(n, false);
+  double outer_rows = 1.0;
   for (size_t step = 0; step < n; ++step) {
     int best_idx = -1;
     double best_card = 0.0;
@@ -369,61 +371,98 @@ StatusOr<SelectPlan> Planner::PlanSelect(
       }
     }
     placed[best_idx] = true;
-    TablePlan tp;
+    TablePlan& tp = plan.tables.emplace_back();
     tp.ref = stmt.from[best_idx];
     tp.from_index = static_cast<size_t>(best_idx);
     tp.conditions = std::move(best_conditions);
+    tp.equi_join = best_connected;
     // Index config entries for this table.
     std::vector<IndexStatsView> table_indexes;
     for (const IndexStatsView& v : config) {
       if (v.def.table == tp.ref.table) table_indexes.push_back(v);
     }
     tp.access = ChooseAccessPath(tp.ref.table, tp.conditions, table_indexes);
-    plan.tables.push_back(std::move(tp));
+    PriceLevel(outer_rows, table_indexes, &tp);
+    plan.est_cost.data_io += tp.est_io;
+    plan.est_cost.data_cpu += tp.est_cpu;
+    // est_rows already folds the join-equality selectivity (1/distinct),
+    // so expected matches per outer row times outer cardinality is simply
+    // the product.
+    outer_rows = std::max(1.0, outer_rows * tp.access.est_rows);
+    tp.est_rows_out = outer_rows;
   }
+  plan.est_result_rows = outer_rows;
+  // Sort / aggregation CPU.
+  if (!stmt.order_by.empty() || !stmt.group_by.empty()) {
+    if (outer_rows > 1.0) {
+      plan.est_cost.data_cpu += outer_rows * std::log2(outer_rows) *
+                                params_.cpu_operator_cost;
+    }
+  }
+  return plan;
+}
 
-  // Estimated cost: outer cardinality times inner access cost per level.
+void Planner::PriceLevel(double outer_rows,
+                         const std::vector<IndexStatsView>& table_indexes,
+                         TablePlan* tp) const {
+  const HeapTable* t = catalog_->GetTable(tp->ref.table);
   // ChooseAccessPath prices a single probe; here, with the outer
   // cardinality known, a join level's index choice is revisited against
   // the hash-join alternative (build once + cheap probes) — otherwise
   // per-tuple random index descents get chosen even when thousands of
   // probes would dwarf one build scan.
-  double outer_rows = 1.0;
-  double total = 0.0;
-  for (TablePlan& tp : plan.tables) {
-    bool has_join = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.join_source.has_value() &&
-          c.kind == ColumnCondition::kEq) {
-        has_join = true;
-      }
-    }
-    if (tp.access.use_index && has_join && outer_rows > 1.0) {
-      const HeapTable* t = catalog_->GetTable(tp.ref.table);
-      const double index_total = outer_rows * tp.access.est_cost;
-      const double hash_total =
-          t->NumPages() * params_.seq_page_cost +
-          t->num_rows() * params_.cpu_tuple_cost +
-          outer_rows * params_.cpu_operator_cost;
-      if (hash_total < index_total) tp.access.use_index = false;
-    }
-    if (tp.access.use_index || !has_join) {
-      total += outer_rows * tp.access.est_cost;
-    } else {
-      // Hash join: build once, probe per outer row.
-      const HeapTable* t = catalog_->GetTable(tp.ref.table);
-      total += t->NumPages() * params_.seq_page_cost +
-               t->num_rows() * params_.cpu_tuple_cost +
-               outer_rows * params_.cpu_operator_cost;
-    }
-    // est_rows already folds the join-equality selectivity (1/distinct),
-    // so expected matches per outer row times outer cardinality is simply
-    // the product.
-    outer_rows = std::max(1.0, outer_rows * tp.access.est_rows);
+  if (tp->access.use_index && tp->equi_join && outer_rows > 1.0) {
+    const double index_total = outer_rows * tp->access.est_cost;
+    const double hash_total = t->NumPages() * params_.seq_page_cost +
+                              t->num_rows() * params_.cpu_tuple_cost +
+                              outer_rows * params_.cpu_operator_cost;
+    if (hash_total < index_total) tp->access.use_index = false;
   }
-  plan.est_result_rows = outer_rows;
-  plan.est_total_cost = total;
-  return plan;
+  if (tp->access.use_index) {
+    // One index probe per outer tuple.
+    const double probes = outer_rows;
+    for (const IndexStatsView& v : table_indexes) {
+      if (v.def != tp->access.index) continue;
+      double h = static_cast<double>(v.height);
+      // Local indexes without a bound partition column descend every
+      // shard.
+      if (v.partitions > 1 && t->partitioned()) {
+        const std::string& pcol =
+            t->schema()
+                .column(static_cast<size_t>(t->partition_column()))
+                .name;
+        const bool pruned = std::any_of(
+            tp->conditions.begin(), tp->conditions.end(),
+            [&](const ColumnCondition& c) {
+              return c.column == pcol && c.kind == ColumnCondition::kEq;
+            });
+        if (!pruned) h *= static_cast<double>(v.partitions);
+      }
+      const double leaf_pages = std::max(
+          1.0, tp->access.est_match_rows /
+                   static_cast<double>(LeafCapacityForWidth(
+                       v.def.KeyWidth(t->schema()))));
+      // Heap fetches are correlation-blended and capped at one pass over
+      // the table per query (buffer-cache behaviour).
+      const double heap_pages = std::min(
+          static_cast<double>(t->NumPages()),
+          probes * EstimateHeapFetchPages(tp->ref.table, v.def.columns[0],
+                                          tp->access.est_match_rows));
+      tp->est_io = (probes * (h + leaf_pages) + heap_pages) *
+                   params_.random_page_cost;
+      tp->est_cpu = probes * tp->access.est_match_rows *
+                    (params_.cpu_index_tuple_cost + params_.cpu_tuple_cost);
+      return;
+    }
+  } else if (tp->equi_join && outer_rows > 1.0) {
+    // Hash join: build scan once + probe CPU.
+    tp->est_io = t->NumPages() * params_.seq_page_cost;
+    tp->est_cpu = t->num_rows() * params_.cpu_tuple_cost +
+                  outer_rows * params_.cpu_operator_cost;
+  } else {
+    tp->est_io = t->NumPages() * params_.seq_page_cost;
+    tp->est_cpu = t->num_rows() * params_.cpu_tuple_cost;
+  }
 }
 
 StatusOr<TablePlan> Planner::PlanWriteLookup(

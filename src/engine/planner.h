@@ -42,6 +42,15 @@ struct TablePlan {
   size_t from_index = 0;  // position of `ref` in the statement's FROM list
   std::vector<ColumnCondition> conditions;  // all table-local conditions
   AccessDecision access;
+  // Set once per join level by PlanSelect (write lookups leave the
+  // defaults); the what-if model, lowering and EXPLAIN read them and
+  // compute no estimate of their own.
+  bool equi_join = false;      // joined to earlier tables by equalities
+  double est_rows_out = 0.0;   // rows out of the prefix ending here, >= 1
+  // Reading this table for every outer row (index probes, a hash build
+  // plus probes, or one scan), split into page io and tuple cpu.
+  double est_io = 0.0;
+  double est_cpu = 0.0;
 };
 
 // A left-deep plan over the FROM list (joined in `tables` order). `from`
@@ -50,8 +59,11 @@ struct TablePlan {
 struct SelectPlan {
   std::vector<TableRef> from;
   std::vector<TablePlan> tables;
-  double est_total_cost = 0.0;
-  double est_result_rows = 0.0;
+  // The plan's price, the one the tuner compares: data_io sums the levels'
+  // est_io, data_cpu their est_cpu plus the sort/aggregate CPU over the
+  // result rows. Maintenance terms stay zero.
+  CostBreakdown est_cost;
+  double est_result_rows = 0.0;  // the last level's est_rows_out
 };
 
 // Builds access plans from statistics only — usable both for real
@@ -62,11 +74,12 @@ class Planner {
   Planner(Catalog* catalog, StatsManager* stats, const CostParams& params)
       : catalog_(catalog), stats_(stats), params_(params) {}
 
-  // Plans a SELECT against the given per-table index configurations.
-  // `config` maps each table (by real name) to the indexes assumed
-  // available. Join order: tables are greedily ordered by estimated
-  // filtered cardinality, except that tables only reachable by join
-  // predicates follow their producers.
+  // Plans and prices a SELECT against the given per-table index
+  // configurations. `config` maps each table (by real name) to the indexes
+  // assumed available. Join order: tables are greedily ordered by
+  // estimated filtered cardinality, except that tables only reachable by
+  // join predicates follow their producers. Each level's price and the
+  // plan's total are stored on the result (TablePlan, SelectPlan).
   StatusOr<SelectPlan> PlanSelect(
       const SelectStatement& stmt,
       const std::vector<IndexStatsView>& config) const;
@@ -92,6 +105,12 @@ class Planner {
       const Expr* where, const std::vector<TableRef>& from,
       const std::vector<bool>& placed) const;
 
+  const CostParams& params() const { return params_; }
+
+ private:
+  double EstimateConditionSelectivity(const std::string& table,
+                                      const ColumnCondition& cond) const;
+
   // Expected heap pages fetched for `match_rows` rows located via an index
   // whose leading column is `column`. Interpolates between the clustered
   // (contiguous pages) and random (one page per row) extremes with the
@@ -100,11 +119,13 @@ class Planner {
                                 const std::string& column,
                                 double match_rows) const;
 
-  const CostParams& params() const { return params_; }
-
- private:
-  double EstimateConditionSelectivity(const std::string& table,
-                                      const ColumnCondition& cond) const;
+  // Prices a join level placed after `outer_rows` rows: switches an index
+  // join to a hash join when one probe per outer row costs more, then
+  // sets est_io/est_cpu for the path that remains. `table_indexes` are the
+  // config's views of tp's table.
+  void PriceLevel(double outer_rows,
+                  const std::vector<IndexStatsView>& table_indexes,
+                  TablePlan* tp) const;
 
   Catalog* catalog_;
   StatsManager* stats_;

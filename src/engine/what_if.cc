@@ -1,7 +1,6 @@
 #include "engine/what_if.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace autoindex {
 
@@ -51,81 +50,8 @@ size_t IndexConfig::TotalBytes(const Catalog& catalog) const {
 CostBreakdown WhatIfCostModel::EstimateSelect(
     const SelectStatement& stmt,
     const std::vector<IndexStatsView>& views) const {
-  CostBreakdown cost;
   StatusOr<SelectPlan> plan = planner_.PlanSelect(stmt, views);
-  if (!plan.ok()) return cost;
-  // Split the planner's scalar estimate into io/cpu heuristically: access
-  // paths are IO-dominated, per-tuple work is CPU.
-  double outer_rows = 1.0;
-  for (const TablePlan& tp : plan->tables) {
-    const HeapTable* t = catalog_->GetTable(tp.ref.table);
-    if (t == nullptr) continue;
-    bool has_join = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.join_source.has_value()) has_join = true;
-    }
-    if (tp.access.use_index) {
-      // One index probe per outer tuple.
-      const double probes = outer_rows;
-      double io = 0.0, cpu = 0.0;
-      for (const IndexStatsView& v : views) {
-        if (v.def == tp.access.index) {
-          double h = static_cast<double>(v.height);
-          // Local indexes without a bound partition column descend every
-          // shard.
-          if (v.partitions > 1 && t->partitioned()) {
-            const std::string& pcol =
-                t->schema()
-                    .column(static_cast<size_t>(t->partition_column()))
-                    .name;
-            bool pruned = false;
-            for (const ColumnCondition& c : tp.conditions) {
-              if (c.column == pcol && c.kind == ColumnCondition::kEq) {
-                pruned = true;
-                break;
-              }
-            }
-            if (!pruned) h *= static_cast<double>(v.partitions);
-          }
-          const double leaf_pages = std::max(
-              1.0, tp.access.est_match_rows /
-                       static_cast<double>(LeafCapacityForWidth(
-                           v.def.KeyWidth(t->schema()))));
-          // Heap fetches are correlation-blended and capped at one pass
-          // over the table per query (buffer-cache behaviour).
-          const double heap_pages = std::min(
-              static_cast<double>(t->NumPages()),
-              probes * planner_.EstimateHeapFetchPages(
-                           tp.ref.table, v.def.columns[0],
-                           tp.access.est_match_rows));
-          io = (probes * (h + leaf_pages) + heap_pages) *
-               params_.random_page_cost;
-          cpu = probes * tp.access.est_match_rows *
-                (params_.cpu_index_tuple_cost + params_.cpu_tuple_cost);
-          break;
-        }
-      }
-      cost.data_io += io;
-      cost.data_cpu += cpu;
-    } else if (has_join && outer_rows > 1.0) {
-      // Hash join: build scan once + probe CPU.
-      cost.data_io += t->NumPages() * params_.seq_page_cost;
-      cost.data_cpu += t->num_rows() * params_.cpu_tuple_cost +
-                       outer_rows * params_.cpu_operator_cost;
-    } else {
-      cost.data_io += t->NumPages() * params_.seq_page_cost;
-      cost.data_cpu += t->num_rows() * params_.cpu_tuple_cost;
-    }
-    outer_rows = std::max(1.0, outer_rows * tp.access.est_rows);
-  }
-  // Sort / aggregation CPU.
-  if (!stmt.order_by.empty() || !stmt.group_by.empty()) {
-    if (outer_rows > 1.0) {
-      cost.data_cpu += outer_rows * std::log2(outer_rows) *
-                       params_.cpu_operator_cost;
-    }
-  }
-  return cost;
+  return plan.ok() ? plan->est_cost : CostBreakdown();
 }
 
 CostBreakdown WhatIfCostModel::EstimateWrite(

@@ -37,14 +37,15 @@ class IndexConfig {
 };
 
 // Prices statements under arbitrary index configurations without executing
-// them — the substrate equivalent of hypopg + EXPLAIN. Read costs come from
-// the planner's access-path estimates; write costs apply the paper's
-// maintenance formulas (Sec. V-A) per affected index.
+// them — the substrate equivalent of hypopg + EXPLAIN. A SELECT costs its
+// plan's price (SelectPlan::est_cost, the number EXPLAIN prints); write
+// costs apply the paper's maintenance formulas (Sec. V-A) per affected
+// index.
 class WhatIfCostModel {
  public:
   WhatIfCostModel(Catalog* catalog, StatsManager* stats,
                   const CostParams& params)
-      : catalog_(catalog), stats_(stats), params_(params),
+      : catalog_(catalog), params_(params),
         planner_(catalog, stats, params) {}
 
   // Estimated cost breakdown of one statement under `config`.
@@ -66,7 +67,6 @@ class WhatIfCostModel {
                               const std::vector<IndexStatsView>& views) const;
 
   Catalog* catalog_;
-  StatsManager* stats_;
   CostParams params_;
   Planner planner_;
 };

@@ -6,7 +6,9 @@
 #include <functional>
 
 #include "engine/database.h"
+#include "query_gen.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace autoindex {
 namespace {
@@ -52,6 +54,47 @@ TEST_F(ExecutorTest, StarExpandsAllColumns) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(r->rows[0].size(), 4u);
+}
+
+// `SELECT *` over a join lists the columns in FROM order, as the reference
+// evaluator does, whichever table the planner scans first: ta(id, k) and
+// tb(k, id) at 3/50 rows scan ta first, at 50/3 rows tb first.
+TEST(StarOverJoin, ExpandsInFromOrder) {
+  const std::string sql = "SELECT * FROM ta p, tb q WHERE p.id = q.id";
+  auto parsed = ParseSql(sql);
+  ASSERT_TRUE(parsed.ok());
+  std::vector<std::string> first_scans;
+  for (const int64_t ta_size : {3, 50}) {
+    SCOPED_TRACE(StrCat("ta rows: ", ta_size));
+    Database db;
+    db.CreateTable("ta", Schema({{"id", ValueType::kInt},
+                                 {"k", ValueType::kInt}}));
+    db.CreateTable("tb", Schema({{"k", ValueType::kInt},
+                                 {"id", ValueType::kInt}}));
+    std::vector<Row> ta_rows, tb_rows;
+    for (int64_t i = 0; i < ta_size; ++i) {
+      ta_rows.push_back({Value(i), Value(100 + i)});
+    }
+    for (int64_t i = 0; i < 53 - ta_size; ++i) {
+      tb_rows.push_back({Value(200 + i), Value(i)});
+    }
+    CheckOk(db.BulkInsert("ta", std::move(ta_rows)));
+    CheckOk(db.BulkInsert("tb", std::move(tb_rows)));
+    db.Analyze();
+
+    auto r = db.Execute(*parsed);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->plan.has_value());
+    const PlanNodeSnapshot* leaf = &*r->plan;
+    while (!leaf->children.empty()) leaf = &leaf->children[0];
+    first_scans.push_back(leaf->detail);
+    EXPECT_EQ(querygen::Canonical(r->rows),
+              querygen::Canonical(querygen::ReferenceSelect(db, *parsed->select)));
+    EXPECT_EQ(querygen::Canonical(r->rows),
+              "0|100|200|0|\n1|101|201|1|\n2|102|202|2|");
+  }
+  ASSERT_EQ(first_scans.size(), 2u);
+  EXPECT_NE(first_scans[0], first_scans[1]) << "join order did not flip";
 }
 
 TEST_F(ExecutorTest, FilterWithOr) {

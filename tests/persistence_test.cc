@@ -318,8 +318,9 @@ TEST(Wal, AppendsReplayOntoCheckpoint) {
   db.set_durability_log(nullptr);
 }
 
-// A multi-row INSERT that fails on a later row is all-or-nothing: no row
-// of it stays live, so the live table matches what the WAL recovers.
+// A multi-row INSERT or a BulkInsert batch that fails on a later row is
+// all-or-nothing: no row of it stays live and nothing is logged, so the
+// live table matches what the WAL recovers.
 TEST(Wal, FailedMultiRowInsertLeavesNoRowBehind) {
   const std::string dir = FreshDir("wal_failed_insert");
   Database db;
@@ -338,6 +339,11 @@ TEST(Wal, FailedMultiRowInsertLeavesNoRowBehind) {
   EXPECT_FALSE(db.Execute("INSERT INTO t (a, b) VALUES (2, 2), (3)").ok());
   EXPECT_FALSE(db.Execute("INSERT INTO t (a, zz) VALUES (2, 2)").ok());
   EXPECT_FALSE(db.Execute("INSERT INTO t VALUES (2, 2), (3)").ok());
+  const uint64_t records = (*wal)->records_appended();
+  std::vector<Row> batch = {{Value(int64_t(2)), Value(int64_t(2))},
+                            {Value(int64_t(3))}};
+  EXPECT_FALSE(db.BulkInsert("t", std::move(batch)).ok());
+  EXPECT_EQ((*wal)->records_appended(), records);
   EXPECT_EQ(CountRows(&db, "t"), before);
   CheckOk(db.Execute("INSERT INTO t (a, b) VALUES (4, 4)"));
   EXPECT_EQ(CountRows(&db, "t"), before + 1);
@@ -348,6 +354,11 @@ TEST(Wal, FailedMultiRowInsertLeavesNoRowBehind) {
       persist::OpenSnapshot(&restored, nullptr, dir, &report);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(CountRows(&restored, "t"), CountRows(&db, "t"));
+  StatusOr<ExecResult> live = db.Execute("SELECT * FROM t");
+  StatusOr<ExecResult> replayed = restored.Execute("SELECT * FROM t");
+  ASSERT_TRUE(live.ok() && replayed.ok());
+  EXPECT_EQ(querygen::Canonical(replayed->rows),
+            querygen::Canonical(live->rows));
   db.set_durability_log(nullptr);
 }
 
